@@ -16,16 +16,13 @@ import numpy as np
 from .core import TorusGeometry, require_dyadic
 from .errors import BudgetExceededError
 
-#: Largest level at which the exhaustive denominator scan is used as fallback.
-SCAN_FALLBACK_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class RationalApprox:
     """Reduced fraction a/q certified against beta at level N.
 
     Certificate: 1 <= q < N, 0 <= a <= q, gcd(a, q) = 1 and
-    |beta - a/q| <= 1/(N*q).
+    |q*beta - a| <= 1/N, that is |beta - a/q| <= 1/(N*q).
     """
 
     a: int
@@ -40,10 +37,8 @@ class RationalApprox:
             raise ValueError(f"need 0 <= a <= q, got a={self.a}, q={self.q}")
         if math.gcd(self.a, self.q) != 1:
             raise ValueError(f"(a, q) = {math.gcd(self.a, self.q)} != 1 for a={self.a}, q={self.q}")
-        if self.error > 1.0 / (self.N * self.q):
-            raise ValueError(
-                f"certificate violated: |{self.beta} - {self.a}/{self.q}| > 1/(N q)"
-            )
+        if not _gap(self.a, self.q, self.beta) <= 1.0 / self.N:
+            raise ValueError(f"certificate violated: |{self.q} * {self.beta} - {self.a}| > 1/N")
 
     @property
     def value(self) -> float:
@@ -54,102 +49,94 @@ class RationalApprox:
         return abs(self.beta - self.a / self.q)
 
 
-def _convergents(beta: float, max_terms: int = 64):
-    """Continued-fraction convergents (p, q) of beta, q increasing."""
-    p_prev, q_prev = 1, 0
-    p, q = 0, 1
-    x = float(beta)
-    for _ in range(max_terms):
-        a0 = math.floor(x)
-        p_prev, p = p, a0 * p + p_prev
-        q_prev, q = q, a0 * q + q_prev
-        yield p, q
-        frac = x - a0
-        if frac <= 1e-15 * max(1.0, abs(x)):
-            return
-        x = 1.0 / frac
+def _gap(a, q, beta):
+    """|q*beta - a|; every certificate and arc witness is the test _gap <= tol."""
+    return abs(q * beta - a)
 
 
-def _certified(a: int, q: int, beta: float, N: int) -> bool:
-    return (
-        1 <= q < N
-        and 0 <= a <= q
-        and math.gcd(a, q) == 1
-        and abs(beta - a / q) <= 1.0 / (N * q)
-    )
+def _first_convergent(beta: float, qmax: int, tol: float) -> tuple[int, int]:
+    """First convergent a/q of beta with q <= qmax and |q*beta - a| <= tol, or (0, 0).
+
+    By the best-approximation property of convergents (Khinchin, Continued
+    Fractions, section 6) its q is the smallest q <= qmax that any integer a
+    lets pass the test.  Each partial quotient comes from freshly computed
+    gaps, so rounding does not accumulate; it is at least 1 so that the walk
+    cannot stall on a rounded 0.
+    """
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
+    a, q, a_prev, q_prev, gap_prev = math.floor(beta), 1, 1, 0, 1.0
+    while q <= qmax:
+        gap = _gap(a, q, beta)
+        if gap <= tol:
+            return a, q
+        step = max(math.floor(gap_prev / gap), 1)
+        a, q, a_prev, q_prev, gap_prev = step * a + a_prev, step * q + q_prev, a, q, gap
+    return 0, 0
 
 
-def _dirichlet_scan(beta: float, N: int) -> tuple[int, int] | None:
-    """Exhaustive search oracle: smallest certified q, ties broken by smallest a."""
-    for q in range(1, N):
-        lo = math.floor(beta * q)
-        for a in (lo, lo + 1):
-            if _certified(a, q, beta, N):
-                return a, q
-    return None
+def _first_convergents(betas, qmax: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_first_convergent over an array, as integer arrays (a, q) shaped like betas.
+
+    The same steps in float64 (exact for these integers).  Scalar queries keep
+    the Python walk: on one beta, numpy's per-call overhead exceeds the walk.
+    """
+    x = np.asarray(betas, dtype=float)
+    shape, x = x.shape, x.ravel()
+    if not np.isfinite(x).all():
+        raise ValueError("beta must be finite")
+    out = np.zeros((2, x.size), dtype=np.int64)
+    idx = np.arange(x.size)
+    # rows (a, q) of the current and the previous convergent
+    cur = np.stack([np.floor(x), np.ones(x.size)])
+    prev = np.stack([np.ones(x.size), np.zeros(x.size)])
+    gap_prev = prev[0]
+    while idx.size:
+        gap = _gap(cur[0], cur[1], x)
+        small = cur[1] <= qmax
+        hit = (gap <= tol) & small
+        found = np.flatnonzero(hit)
+        out[:, idx.take(found)] = cur.take(found, axis=1)
+        keep = np.flatnonzero(small ^ hit)
+        idx, x, cur, prev, gap, gap_prev = (
+            v.take(keep, axis=-1) for v in (idx, x, cur, prev, gap, gap_prev)
+        )
+        step = np.maximum(np.floor(gap_prev / gap), 1.0)
+        cur, prev, gap_prev = step * cur + prev, cur, gap
+    return out[0].reshape(shape), out[1].reshape(shape)
+
+
+def _certificate_bounds(N: int) -> tuple[int, float]:
+    """(qmax, tol) of the level-N certificate walk: q < N and |q*beta - a| <= 1/N."""
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
+    return int(N) - 1, 1.0 / N
 
 
 def dirichlet_approx(beta: float, N: int) -> RationalApprox:
     """Best rational approximation certificate at level N.
 
-    Returns the certified pair with the smallest denominator (ties broken by
-    the smaller numerator).  Existence is guaranteed for every beta.  Inputs
-    outside [0, 1] are reduced mod 1 first.
+    The certified pair (see RationalApprox) with the smallest denominator, and
+    the smaller numerator on the one tie (beta = 1/2 at N = 2).  Dirichlet's
+    theorem guarantees one for every finite beta; inputs outside [0, 1] are
+    reduced mod 1 first, and a non-finite beta raises ValueError.
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
     N = int(N)
     b = float(beta)
     if not 0.0 <= b <= 1.0:
         b = b % 1.0
-    # The smallest certified denominator is always a convergent: any certified
-    # pair (a, q) forces the convergent with denominator <= q to be certified
-    # as well, by the best-approximation property.
-    found = None
-    for p, q in _convergents(b):
-        if q >= N:
-            break
-        if _certified(p, q, b, N):
-            found = (p, q)
-            break
-    if found is not None:
-        a, q = found
-        if q == 1 and a == 1 and _certified(0, 1, b, N):
-            a = 0  # smallest-numerator tie at q = 1
-        return RationalApprox(a=a, q=q, beta=b, N=N)
-    if N <= SCAN_FALLBACK_LIMIT:
-        hit = _dirichlet_scan(b, N)
-        if hit is not None:
-            return RationalApprox(a=hit[0], q=hit[1], beta=b, N=N)
-    raise RuntimeError(f"no certified approximation found for beta={beta!r}, N={N}")
+    a, q = _first_convergent(b, *_certificate_bounds(N))
+    if not q:
+        raise RuntimeError(f"no certified approximation found for beta={beta!r}, N={N}")
+    return RationalApprox(a=a, q=q, beta=b, N=N)
 
 
 def dirichlet_approx_batch(betas: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized certificate search over an array of betas in [0, 1].
-
-    Ascending scan over denominators; the first certified hit is automatically
-    reduced, because an unreduced hit implies an earlier certified reduced one.
-    """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    b = np.asarray(betas, dtype=float)
-    a_out = np.zeros(b.shape, dtype=np.int64)
-    q_out = np.zeros(b.shape, dtype=np.int64)
-    todo = np.ones(b.shape, dtype=bool)
-    tol = 1.0 / N
-    for q in range(1, int(N)):
-        if not todo.any():
-            break
-        scaled = b[todo] * q
-        cand = np.rint(scaled)
-        ok = np.abs(scaled - cand) <= tol
-        idx = np.flatnonzero(todo)[ok]
-        a_out[idx] = cand[ok].astype(np.int64)
-        q_out[idx] = q
-        todo[idx] = False
-    if todo.any():
-        raise RuntimeError("certificate search failed; betas must lie in [0, 1]")
-    return a_out, q_out
+    """dirichlet_approx over betas in [0, 1], as integer arrays (a, q) shaped like betas."""
+    a, q = _first_convergents(betas, *_certificate_bounds(N))
+    if not q.all():
+        raise RuntimeError(f"no certified approximation found at N={N}")
+    return a, q
 
 
 def farey_atoms(Q: int) -> list[Fraction]:
@@ -236,37 +223,36 @@ class MajorArcParams:
         return float(self.N) ** (2.0 * self.sigma)
 
 
+def _arc_bounds(params: MajorArcParams) -> tuple[int, float]:
+    """(qmax, tol) of the arc walk: q <= N^(2 sigma) and |q*x - a| <= N^(2 sigma) / N^2."""
+    thr = params.threshold
+    return math.floor(thr), thr / float(params.N) ** 2
+
+
 def in_major_arc(
     t: float, params: MajorArcParams, geometry: TorusGeometry
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """Major-arc membership of a time, with a witness (j, a, q) when inside.
 
-    Per coordinate j the best certificate of theta_j * t at level N is checked
-    against both conditions; j in the witness is 1-based.
+    t is inside when some coordinate j has q <= N^(2 sigma) and an integer a
+    with q N^2 |x - a/q| <= N^(2 sigma), where x = theta_j t mod 1.  The
+    witness is the first such j (1-based) with its smallest such q.
     """
+    qmax, tol = _arc_bounds(params)
     for j, theta in enumerate(geometry.theta, start=1):
-        r = dirichlet_approx(theta * t, params.N)
-        if r.q <= params.threshold and r.q * params.N**2 * r.error <= params.threshold:
-            return True, (j, r.a, r.q)
+        a, q = _first_convergent((theta * t) % 1.0, qmax, tol)
+        if q:
+            return True, (j, a, q)
     return False, None
 
 
 def major_arc_mask(
     ts: np.ndarray, params: MajorArcParams, geometry: TorusGeometry
 ) -> np.ndarray:
-    """Vectorized major-arc membership over a time grid.
-
-    Uses the definitional test N^2 * dist(theta t q, Z) <= N^(2 sigma) over all
-    q up to the budget; unreduced hits reduce to valid witnesses, so this
-    matches the witness-based test.
-    """
+    """Vectorized major-arc membership over a time grid; equals in_major_arc pointwise."""
     ts = np.asarray(ts, dtype=float)
+    qmax, tol = _arc_bounds(params)
     mask = np.zeros(ts.shape, dtype=bool)
-    qmax = int(math.floor(params.threshold))
-    nsq = float(params.N) ** 2
     for theta in geometry.theta:
-        x = (theta * ts) % 1.0
-        for q in range(1, qmax + 1):
-            dist = np.abs(x * q - np.rint(x * q))
-            mask |= nsq * dist <= params.threshold
+        mask |= _first_convergents((theta * ts) % 1.0, qmax, tol)[1] > 0
     return mask

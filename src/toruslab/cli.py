@@ -99,7 +99,19 @@ def _guard_abort(out_dir: Path | None, config: dict, seed, exc: Exception) -> No
     sys.exit(1)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a plain ValueError as a usage error (exit 2); guard errors keep exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GUARD_ERRORS:
+            raise
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main():
     """Numerical experiments for Schrodinger evolution on rectangular tori."""
@@ -327,6 +339,8 @@ def _parse_data_spec(spec: str, g: TorusGeometry, box: int, seed: int) -> Freque
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
 def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fields, threads, budget, out_dir):
     """Run the critical-power solver and write per-step conservation diagnostics."""
+    if not 0 < dt <= horizon:
+        raise click.UsageError(f"need 0 < dt <= T, got dt={dt}, T={horizon}")
     _fft.set_workers(threads)
     d = int(dim)
     g = _parse_theta(d, theta)

@@ -70,13 +70,14 @@ class KernelEvaluation:
 
 @lru_cache(maxsize=64)
 def _dispersion_symbol(geometry: TorusGeometry, M: int) -> np.ndarray:
-    """sum_j theta_j k_j^2 over the coefficient box; cached, treat as read-only."""
+    """sum_j theta_j k_j^2 over the coefficient box; cached, so returned read-only."""
     ks = np.arange(-M, M + 1, dtype=float) ** 2
     total = np.zeros((2 * M + 1,) * geometry.d)
     for j in range(geometry.d):
         shape = [1] * geometry.d
         shape[j] = 2 * M + 1
         total = total + geometry.theta[j] * ks.reshape(shape)
+    total.setflags(write=False)
     return total
 
 

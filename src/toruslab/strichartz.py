@@ -28,8 +28,6 @@ from .core import (
 )
 from .propagator import iter_evolved_grids, time_sample_count
 
-STREAM_CHUNK = None  # adaptive: see propagator._auto_chunk
-
 
 def _ordered_map(fn, items, threads: int = 1) -> list:
     """Map preserving input order; thread pool only changes wall time, not results."""
@@ -90,14 +88,13 @@ def evolved_lp_norm(
     n_t: int,
     n_x: int,
     horizon: float = 1.0,
-    chunk: int | None = STREAM_CHUNK,
 ) -> float:
     """Streaming L^p_t L^r_x norm of the free evolution of f on [0, horizon)."""
     ts = np.arange(n_t) * (horizon / n_t)
     spatial_axes = None
     acc = 0.0
     top = 0.0
-    for _, vals in iter_evolved_grids(f, ts, n_x, chunk=chunk):
+    for _, vals in iter_evolved_grids(f, ts, n_x):
         if spatial_axes is None:
             spatial_axes = tuple(range(1, vals.ndim))
         if r == np.inf:
@@ -276,7 +273,6 @@ def bilinear_ratio(
     horizon: float = 1.0,
     n_t: int | None = None,
     n_x: int | None = None,
-    chunk: int | None = STREAM_CHUNK,
 ) -> float:
     """||(evolved f)(evolved h)||_{L^2_{t,x}([0,horizon) x torus)} / (N2^((d-2)/2) ||f|| ||h||).
 
@@ -301,8 +297,8 @@ def bilinear_ratio(
         n_t = max(int(math.ceil(time_sample_count(N1, geometry) * horizon)), 64)
     ts = np.arange(n_t) * (horizon / n_t)
     acc = 0.0
-    gen_f = iter_evolved_grids(f, ts, n_x, chunk=chunk)
-    gen_h = iter_evolved_grids(h, ts, n_x, chunk=chunk)
+    gen_f = iter_evolved_grids(f, ts, n_x)
+    gen_h = iter_evolved_grids(h, ts, n_x)
     for (_, uf), (_, uh) in zip(gen_f, gen_h):
         prod = np.abs(uf * uh) ** 2
         acc += float(np.sum(np.mean(prod, axis=tuple(range(1, prod.ndim)))))
@@ -414,8 +410,8 @@ def bilinear_table(
         require_dyadic(N1)
         n2_values = [n for n in (2**j for j in range(0, 12)) if n <= N1]
         for N2 in n2_values:
-            axes_f = [band_axis_coeffs(data if data != "character" else "character", N1, rng) for _ in range(geometry.d)]
-            axes_h = [band_axis_coeffs(data if data != "character" else "character", N2, rng) for _ in range(geometry.d)]
+            axes_f = [band_axis_coeffs(data, N1, rng) for _ in range(geometry.d)]
+            axes_h = [band_axis_coeffs(data, N2, rng) for _ in range(geometry.d)]
             for horizon in horizons:
                 ratio = bilinear_ratio_tensor(
                     axes_f, N1, axes_h, N2, geometry, horizon=horizon, n_t=n_t, n_x=n_x

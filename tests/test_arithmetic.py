@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from toruslab.arithmetic import (
     MajorArcParams,
     RationalApprox,
-    _dirichlet_scan,
     dirichlet_approx,
     dirichlet_approx_batch,
     divisor_count_dyadic,
@@ -23,13 +22,56 @@ from toruslab.arithmetic import (
     major_arc_mask,
 )
 from toruslab.core import TorusGeometry
+from toruslab.dispersive import (
+    check_diff_bound,
+    farey_midpoint_times,
+    kernel_split,
+    sweep_time_grid,
+)
 from toruslab.errors import BudgetExceededError
+from toruslab.propagator import kernel_direct
 
-DYADIC_LEVELS = st.sampled_from([4, 16, 64, 256])
+DYADIC_LEVELS = st.sampled_from([4, 16, 64, 256, 1024, 4096])
+SIGMAS = st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)
+GEOMETRIES = [TorusGeometry.square(1), TorusGeometry(2, (1.0, 1.0 / math.sqrt(2.0)))]
 
 
 def euler_phi(q: int) -> int:
     return sum(1 for a in range(q) if math.gcd(a, q) == 1)
+
+
+def dirichlet_scan(beta: float, N: int) -> tuple[int, int] | None:
+    """Exact oracle: smallest q < N with |q beta - a| <= 1/N, then smallest a.
+
+    Only a = floor(q beta) and floor(q beta) + 1 can pass, since 1/N <= 1/2.
+    """
+    b = Fraction(beta)
+    for q in range(1, N):
+        lo = math.floor(b * q)
+        for a in (lo, lo + 1):
+            if abs(b * q - a) * N <= 1:
+                return a, q
+    return None
+
+
+def arc_witness(t: float, N: int, sigma: float, theta: float) -> tuple[int, int] | None:
+    """Exact arc definition for one coordinate: smallest q <= N^(2 sigma) with an
+    integer a such that q N^2 |x - a/q| <= N^(2 sigma), x = theta t mod 1."""
+    thr = Fraction(float(N) ** (2.0 * sigma))
+    x = Fraction(theta) * Fraction(t) % 1
+    for q in range(1, math.floor(thr) + 1):
+        a = round(x * q)
+        if N * N * abs(x * q - a) <= thr:
+            return a, q
+    return None
+
+
+def arc_definition(t: float, N: int, sigma: float, geometry: TorusGeometry):
+    for j, theta in enumerate(geometry.theta, start=1):
+        hit = arc_witness(t, N, sigma, theta)
+        if hit is not None:
+            return j, *hit
+    return None
 
 
 class TestDirichlet:
@@ -56,14 +98,43 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dirichlet_approx(0.5, 1)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError):
+            dirichlet_approx(beta, 8)
+        with pytest.raises(ValueError):
+            dirichlet_approx_batch(np.array([0.5, beta]), 8)
+
+    @pytest.mark.parametrize(
+        "beta, N, expected",
+        [(0.375, 8, (1, 3)), (0.6875, 16, (2, 3)), (0.1875, 16, (1, 5)), (0.34375, 32, (1, 3))],
+    )
+    def test_certificate_on_its_bound(self, beta, N, expected):
+        # each expected a/q has |q beta - a| = 1/N exactly
+        a, q = expected
+        assert abs(Fraction(beta) * q - a) * N == 1
+        r = dirichlet_approx(beta, N)
+        assert (r.a, r.q) == expected == dirichlet_scan(beta, N)
+        ab, qb = dirichlet_approx_batch(np.array([beta]), N)
+        assert (ab[0], qb[0]) == expected
+
+    def test_dyadic_betas_match_exact_scan(self):
+        betas = sorted({m / 2**k for k in range(9) for m in range(2**k + 1)})
+        for N in (2**j for j in range(1, 13)):
+            a, q = dirichlet_approx_batch(np.array(betas), N)
+            for i, beta in enumerate(betas):
+                want = dirichlet_scan(beta, N)
+                r = dirichlet_approx(beta, N)
+                assert (r.a, r.q) == (a[i], q[i]) == want, (beta, N)
+
     @settings(max_examples=300, deadline=None)
     @given(beta=st.floats(min_value=0.0, max_value=1.0), N=DYADIC_LEVELS)
     def test_certificate_and_minimality(self, beta, N):
         r = dirichlet_approx(beta, N)
         assert 1 <= r.q < N and 0 <= r.a <= r.q
         assert math.gcd(r.a, r.q) == 1
-        assert abs(beta - r.a / r.q) <= 1.0 / (N * r.q)
-        assert (r.a, r.q) == _dirichlet_scan(beta, N)
+        assert abs(Fraction(beta) * r.q - r.a) * N <= 1
+        assert (r.a, r.q) == dirichlet_scan(beta, N)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -246,6 +317,43 @@ class TestMajorArc:
             mask = major_arc_mask(ts, MajorArcParams(sigma=0.1, N=N), g)
             fracs.append(np.mean(mask))
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sigma=SIGMAS,
+        N=st.sampled_from([2**j for j in range(1, 13)]),
+        ts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+        geometry=st.sampled_from(GEOMETRIES),
+    )
+    def test_membership_is_the_definition(self, sigma, N, ts, geometry):
+        params = MajorArcParams(sigma=sigma, N=N)
+        mask = major_arc_mask(np.array(ts), params, geometry)
+        for t, m in zip(ts, mask):
+            want = arc_definition(t, N, sigma, geometry)
+            inside, witness = in_major_arc(t, params, geometry)
+            assert inside == m == (want is not None)
+            assert witness == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sigma=SIGMAS,
+        N=st.sampled_from([2, 4, 8, 16]),
+        t=st.floats(min_value=0.0, max_value=1.0),
+        geometry=st.sampled_from(GEOMETRIES),
+    )
+    def test_split_and_diff_bound_share_the_arc_set(self, sigma, N, t, geometry):
+        inside = arc_definition(t, N, sigma, geometry) is not None
+        x = (0.25,) * geometry.d
+        tilde, rem = kernel_split(t, x, N, sigma, geometry)
+        assert (rem if inside else tilde) == 0.0
+        assert tilde + rem == kernel_direct(t, x, N, geometry)
+        res = check_diff_bound(N, sigma, geometry, n_t=64, n_x=8 * N)
+        ts = sweep_time_grid(N, geometry, n_t=64, extra=farey_midpoint_times(N, sigma, geometry))
+        off = [t_ for t_ in ts if arc_definition(float(t_), N, sigma, geometry) is None]
+        assert res.offarc_fraction == len(off) / ts.size
+        assert res.degenerate == (not off)
+        if off:
+            assert res.t_at_sup in off
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Command-line surface: flags, outputs, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -59,6 +60,15 @@ class TestArithCommands:
     def test_f2hat(self, runner):
         result = runner.invoke(main, ["arith", "f2hat", "--omega", "6", "--Q", "2"])
         assert json.loads(result.output)["output"]["value"] == 5
+
+    @pytest.mark.parametrize(
+        "beta, level, expected",
+        [("0.375", "8", {"a": 1, "q": 3}), ("0.3", "1024", {"a": 3, "q": 10})],
+    )
+    def test_dirichlet_exact_boundary_and_high_level(self, runner, beta, level, expected):
+        result = runner.invoke(main, ["arith", "dirichlet", "--beta", beta, "--N", level])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["output"] == expected
 
     def test_major_arc(self, runner):
         result = runner.invoke(
@@ -147,6 +157,33 @@ class TestNlsRun:
         assert result.exit_code == 1
         aborted = json.loads((tmp_path / "aborted.json").read_text())
         assert aborted["truncated"] is True
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--N", "3"],
+            ["kernel", "--N", "4", "--theta", "1.5"],
+            ["kernel", "--N", "4", "--d", "5"],
+            ["arith", "dirichlet", "--beta", "nan", "--N", "8"],
+            ["arith", "dirichlet", "--beta", "0.5", "--N", "1"],
+            ["arith", "major-arc", "--t", "0.3", "--N", "6"],
+            ["dispersive-check", "--N", "3"],
+            ["strichartz-sweep", "--p", "4", "--N", "8,16"],
+            ["nls-run", "--T", "0.01", "--dt", "0.5"],
+            ["nls-run", "--T", "0", "--dt", "1e-3"],
+            ["nls-run", "--T", "0.01", "--dt", "0"],
+            ["nls-run", "--T", "0.01", "--dt", "-1e-3"],
+        ],
+    )
+    def test_bad_input_exits_2(self, runner, tmp_path, argv):
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            result = runner.invoke(main, argv)
+            assert not os.listdir(cwd)  # rejected before any output is written
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output
 
 
 class TestDeterminism:

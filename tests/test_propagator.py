@@ -7,6 +7,7 @@ from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
 from toruslab.errors import BudgetExceededError, GridTooCoarseError
 from toruslab.propagator import (
     SpaceTimeGrid,
+    _dispersion_symbol,
     free_evolve,
     kernel_direct,
     kernel_grid,
@@ -50,6 +51,18 @@ class TestFreeEvolve:
         f = random_field(TorusGeometry.square(1), 2, seed=4)
         with pytest.raises(ValueError):
             free_evolve(f, 0.1, TorusGeometry(1, (0.5,)))
+
+
+    def test_cached_symbol_is_read_only(self):
+        # the symbol is shared through a cache: an in-place edit would corrupt
+        # every later evolution on the same geometry and box
+        g = TorusGeometry(2, (1.0, IRRATIONAL))
+        sym = _dispersion_symbol(g, 3)
+        with pytest.raises(ValueError):
+            sym[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            sym.ravel()[0] += 1.0
+        assert _dispersion_symbol(g, 3) is sym
 
 
 class TestKernelDirect:
