@@ -37,7 +37,7 @@ class RationalApprox:
             raise ValueError(f"need 0 <= a <= q, got a={self.a}, q={self.q}")
         if math.gcd(self.a, self.q) != 1:
             raise ValueError(f"(a, q) = {math.gcd(self.a, self.q)} != 1 for a={self.a}, q={self.q}")
-        if not _gap(self.a, self.q, self.beta) <= 1.0 / self.N:
+        if not self.gap <= 1.0 / self.N:
             raise ValueError(f"certificate violated: |{self.q} * {self.beta} - {self.a}| > 1/N")
 
     @property
@@ -47,6 +47,11 @@ class RationalApprox:
     @property
     def error(self) -> float:
         return abs(self.beta - self.a / self.q)
+
+    @property
+    def gap(self) -> float:
+        """|q*beta - a|, the quantity the certificate bounds by 1/N."""
+        return _gap(self.a, self.q, self.beta)
 
 
 def _gap(a, q, beta):

@@ -201,15 +201,9 @@ def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, threads, dump_grid, o
     }
     _write_json(Path(out_dir) / "dispersive_report.json", payload)
     if dump_grid:
-        from .dispersive import _kernel_max_abs_product, dispersive_bound_batch, sweep_time_grid
-
-        for N in n_list:
-            ts = sweep_time_grid(N, g, n_t=n_t)
-            bounds = dispersive_bound_batch(ts, N, g)
-            kmax = _kernel_max_abs_product(ts, N, g, n_x if n_x is not None else 8 * N)
-            rows = [[float(t), float(k), float(b), float(k / b)]
-                    for t, k, b in zip(ts, kmax, bounds)]
-            _write_csv(Path(out_dir) / f"dispersive_grid_N{N}.csv",
+        for r in reports:
+            rows = [[float(t), float(k), float(b), float(k / b)] for t, k, b in zip(*r.sweep)]
+            _write_csv(Path(out_dir) / f"dispersive_grid_N{r.N}.csv",
                        ["t", "kernel_max", "bound", "ratio"], rows, meta=_meta(config))
     click.echo(json.dumps(payload["stability"], sort_keys=True))
 
@@ -396,7 +390,7 @@ def dirichlet(beta, level):
     click.echo(json.dumps({
         "input": {"beta": beta, "N": level},
         "output": {"a": r.a, "q": r.q},
-        "certificate": {"error": r.error, "bound": 1.0 / (level * r.q)},
+        "certificate": {"gap": r.gap, "bound": 1.0 / level},
     }, sort_keys=True))
 
 

@@ -7,7 +7,14 @@ cutoff profile and on the magnitudes of the torus weights.
 
 Grid sweeps exploit the coordinate product structure of the kernel: the max of
 |K(t, .)| over a product grid equals the product over coordinates of 1-d slice
-maxima, which keeps the sweeps cheap even at d = 2.
+maxima, which keeps the sweeps cheap even at d = 2.  The 1-d slices compute
+their phases for k >= 0 only (the symbol is even in k).
+
+check_dispersive sweeps the kernel once per N, on the union of the stratified
+grid and the Farey midpoints: the off-arc sup uses the off-arc times of the
+union (check_diff_bound), the envelope ratio uses the base-grid times, of which
+only those on the arcs are left to sweep, and the report carries the base-grid
+arrays, so a CSV dump costs no extra sweep.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ class DispersiveReport:
     max_ratio_kernel_vs_bound: float | None = None
     sup_offarc_kernel: float | None = None
     fitted_constants: dict = field(default_factory=dict)
+    #: (ts, kmax, bounds) over the base grid, for CSV dumps; not part of the JSON.
+    sweep: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,42 +138,6 @@ def _kernel_max_abs_product(
     return out
 
 
-def check_dispersive(
-    N: int,
-    geometry: TorusGeometry,
-    sigma: float = 0.1,
-    n_t: int | None = None,
-    n_x: int | None = None,
-) -> DispersiveReport:
-    """Empirical constant max_(t,x) |K| / bound over a stratified grid.
-
-    The ratio at t = 0 equals exactly 3^d for this cutoff profile (the symbol
-    sums to 3N per coordinate), so the reported max is always >= 3^d.
-    """
-    require_dyadic(N)
-    if n_x is None:
-        n_x = 8 * N
-    ts = sweep_time_grid(N, geometry, n_t=n_t)
-    bounds = dispersive_bound_batch(ts, N, geometry)
-    kmax = _kernel_max_abs_product(ts, N, geometry, n_x)
-    ratios = kmax / bounds
-    i = int(np.argmax(ratios))
-    t0 = int(np.searchsorted(ts, 0.0))
-    report = DispersiveReport(
-        N=N,
-        geometry=geometry,
-        sigma=sigma,
-        grid={"n_t": int(ts.size), "n_x": int(n_x), "stratified": True},
-    )
-    report.max_ratio_kernel_vs_bound = float(ratios[i])
-    report.fitted_constants = {
-        "t_at_max": float(ts[i]),
-        "ratio_at_t0": float(ratios[t0]),
-        "bound_at_max": float(bounds[i]),
-    }
-    return report
-
-
 def kernel_split(
     t: float, x, N: int, sigma: float, geometry: TorusGeometry
 ) -> tuple[complex, complex]:
@@ -189,6 +162,8 @@ class DiffBoundResult:
     offarc_fraction: float
     degenerate: bool
     t_at_sup: float
+    #: (off-arc times, kernel maxima there), which check_dispersive reuses.
+    sweep: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def farey_midpoint_times(N: int, sigma: float, geometry: TorusGeometry) -> np.ndarray:
@@ -222,9 +197,10 @@ def check_diff_bound(
     ts = sweep_time_grid(N, geometry, n_t=n_t, extra=farey_midpoint_times(N, sigma, geometry))
     off = ~major_arc_mask(ts, params, geometry)
     frac = float(np.count_nonzero(off)) / ts.size
-    if not off.any():
-        return DiffBoundResult(constant=float("nan"), offarc_fraction=0.0, degenerate=True, t_at_sup=float("nan"))
     ts_off = ts[off]
+    if not off.any():
+        return DiffBoundResult(constant=float("nan"), offarc_fraction=0.0, degenerate=True,
+                               t_at_sup=float("nan"), sweep=(ts_off, np.empty(0)))
     kmax = _kernel_max_abs_product(ts_off, N, geometry, n_x)
     scale = float(N) ** (geometry.d * (1.0 - sigma))
     i = int(np.argmax(kmax))
@@ -233,7 +209,58 @@ def check_diff_bound(
         offarc_fraction=frac,
         degenerate=False,
         t_at_sup=float(ts_off[i]),
+        sweep=(ts_off, kmax),
     )
+
+
+def check_dispersive(
+    N: int,
+    geometry: TorusGeometry,
+    sigma: float = 0.1,
+    n_t: int | None = None,
+    n_x: int | None = None,
+) -> DispersiveReport:
+    """Both kernel checks at level N, sweeping each time sample once.
+
+    max_ratio_kernel_vs_bound is the empirical constant max_(t,x) |K| / bound
+    over the stratified base grid.  The ratio at t = 0 equals exactly 3^d for
+    this cutoff profile (the symbol sums to 3N per coordinate), so the reported
+    max is always >= 3^d.  sup_offarc_kernel and the fitted constants
+    offarc_fraction, offarc_degenerate and t_at_offarc_sup are check_diff_bound's
+    result; the base-grid times it swept off the arcs are not swept again.
+    """
+    require_dyadic(N)
+    if n_x is None:
+        n_x = 8 * N
+    diff = check_diff_bound(N, sigma, geometry, n_t=n_t, n_x=n_x)
+    ts_off, kmax_off = diff.sweep
+    ts = sweep_time_grid(N, geometry, n_t=n_t)
+    swept = np.isin(ts, ts_off)
+    kmax = np.empty(ts.size)
+    kmax[swept] = kmax_off[np.searchsorted(ts_off, ts[swept])]
+    kmax[~swept] = _kernel_max_abs_product(ts[~swept], N, geometry, n_x)
+    bounds = dispersive_bound_batch(ts, N, geometry)
+    ratios = kmax / bounds
+    i = int(np.argmax(ratios))
+    t0 = int(np.searchsorted(ts, 0.0))
+    report = DispersiveReport(
+        N=N,
+        geometry=geometry,
+        sigma=sigma,
+        grid={"n_t": int(ts.size), "n_x": int(n_x), "stratified": True},
+        sup_offarc_kernel=diff.constant,
+        sweep=(ts, kmax, bounds),
+    )
+    report.max_ratio_kernel_vs_bound = float(ratios[i])
+    report.fitted_constants = {
+        "t_at_max": float(ts[i]),
+        "ratio_at_t0": float(ratios[t0]),
+        "bound_at_max": float(bounds[i]),
+        "offarc_fraction": diff.offarc_fraction,
+        "offarc_degenerate": bool(diff.degenerate),
+        "t_at_offarc_sup": diff.t_at_sup,
+    }
+    return report
 
 
 def _circle_distance(x: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -411,14 +438,5 @@ def dispersive_suite(
     n_t: int | None = None,
     n_x: int | None = None,
 ) -> list[DispersiveReport]:
-    """Run both kernel sweeps for each N and collect full reports."""
-    reports = []
-    for N in N_list:
-        rep = check_dispersive(N, geometry, sigma=sigma, n_t=n_t, n_x=n_x)
-        diff = check_diff_bound(N, sigma, geometry, n_t=n_t, n_x=n_x)
-        rep.sup_offarc_kernel = diff.constant
-        rep.fitted_constants["offarc_fraction"] = diff.offarc_fraction
-        rep.fitted_constants["offarc_degenerate"] = bool(diff.degenerate)
-        rep.fitted_constants["t_at_offarc_sup"] = diff.t_at_sup
-        reports.append(rep)
-    return reports
+    """check_dispersive for each N: one kernel sweep per level."""
+    return [check_dispersive(N, geometry, sigma=sigma, n_t=n_t, n_x=n_x) for N in N_list]

@@ -115,25 +115,32 @@ def _kernel_axis_symbol(N: int) -> tuple[np.ndarray, np.ndarray]:
     return k, bump(k / N)
 
 
-def kernel_axis_rows(ts: np.ndarray, N: int, theta: float) -> np.ndarray:
-    """Phased 1-d symbol rows bump(k/N) * e^{-2 pi i t theta k^2}, shape (len(ts), 4N+1)."""
-    k, w = _kernel_axis_symbol(N)
-    return w * np.exp(-2j * np.pi * np.outer(ts, theta * k * k))
-
-
 def kernel_axis_max_abs(
     ts: np.ndarray, N: int, theta: float, n_x: int, chunk: int = 4096
 ) -> np.ndarray:
-    """max over the x-grid of the 1-d kernel slice, per time sample (batched FFT)."""
+    """max over the x-grid of the 1-d kernel slice, per time sample (batched FFT).
+
+    The symbol bump(k/N) e^{-2 pi i t theta k^2} is even in k bit for bit, so
+    the phases are computed for k = 0..2N only, in place in one FFT buffer, and
+    mirrored onto the slots of k = -2N..-1; the gap between stays zero.
+    """
     if n_x < 4 * N + 1:
         raise GridTooCoarseError(f"need n_x >= {4 * N + 1} to hold the symbol, got {n_x}")
-    positions = np.arange(-2 * N, 2 * N + 1) % n_x
+    k, w = _kernel_axis_symbol(N)
+    k, w = k[2 * N :], w[2 * N :]
+    sym = theta * k * k
     out = np.empty(ts.size)
+    buf = np.zeros((min(chunk, ts.size), n_x), dtype=np.complex128)
     for lo in range(0, ts.size, chunk):
-        rows = kernel_axis_rows(ts[lo : lo + chunk], N, theta)
-        buf = np.zeros((rows.shape[0], n_x), dtype=np.complex128)
-        buf[:, positions] = rows
-        vals = _fft.ifft(buf, axis=1) * n_x
+        tslice = ts[lo : lo + chunk]
+        rows = buf[: tslice.size]
+        head = rows[:, : 2 * N + 1]
+        np.multiply.outer(tslice, sym, out=head)
+        head *= -2j * np.pi
+        np.exp(head, out=head)
+        head *= w
+        rows[:, n_x - 2 * N :] = rows[:, 2 * N : 0 : -1]
+        vals = _fft.ifft(rows, axis=1) * n_x
         out[lo : lo + chunk] = np.max(np.abs(vals), axis=1)
     return out
 

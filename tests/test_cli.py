@@ -70,6 +70,17 @@ class TestArithCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["output"] == expected
 
+    @pytest.mark.parametrize(
+        "beta, level", [("0.375", "8"), ("0.6875", "16"), ("0.1875", "16"), ("0.34375", "32")]
+    )
+    def test_dirichlet_certificate_on_its_bound(self, runner, beta, level):
+        # the printed gap is |q beta - a|, the quantity the search tests; each
+        # of these certificates has it exactly 1/N, which must not print as > 1/N
+        result = runner.invoke(main, ["arith", "dirichlet", "--beta", beta, "--N", level])
+        cert = json.loads(result.output)["certificate"]
+        assert cert["gap"] <= cert["bound"] == 1.0 / int(level)
+        assert cert["gap"] == cert["bound"]
+
     def test_major_arc(self, runner):
         result = runner.invoke(
             main, ["arith", "major-arc", "--t", "0.5", "--N", "16", "--sigma", "0.25"]
@@ -102,8 +113,12 @@ class TestSweepCommands:
         payload = json.loads((tmp_path / "dispersive_report.json").read_text())
         assert len(payload["reports"]) == 2
         assert payload["stability"]["max_ratio_spread"] < 2.0
-        dump = (tmp_path / "dispersive_grid_N8.csv").read_text().splitlines()
-        assert dump[1] == "t,kernel_max,bound,ratio"
+        for rep in payload["reports"]:
+            dump = (tmp_path / f"dispersive_grid_N{rep['N']}.csv").read_text().splitlines()
+            assert dump[1] == "t,kernel_max,bound,ratio"
+            assert len(dump) - 2 == rep["grid"]["n_t"]
+            ratios = [float(line.split(",")[3]) for line in dump[2:]]
+            assert max(ratios) == rep["max_ratio_kernel_vs_bound"]
 
     def test_plot_emission(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -170,6 +185,7 @@ class TestUsageErrors:
             ["arith", "dirichlet", "--beta", "0.5", "--N", "1"],
             ["arith", "major-arc", "--t", "0.3", "--N", "6"],
             ["dispersive-check", "--N", "3"],
+            ["dispersive-check", "--N", "8", "--sigma", "0.7"],
             ["strichartz-sweep", "--p", "4", "--N", "8,16"],
             ["nls-run", "--T", "0.01", "--dt", "0.5"],
             ["nls-run", "--T", "0", "--dt", "1e-3"],

@@ -14,12 +14,14 @@ from toruslab.dispersive import (
     check_diff_bound,
     check_dispersive,
     dispersive_bound,
+    dispersive_bound_batch,
     dispersive_rhs,
     kernel_split,
     run_bilinear_draws,
+    sweep_time_grid,
 )
 from toruslab.errors import GridTooCoarseError
-from toruslab.propagator import kernel_direct
+from toruslab.propagator import kernel_axis_max_abs, kernel_direct
 
 IRRATIONAL = 0.7071067811865476
 
@@ -80,6 +82,57 @@ class TestCheckDispersive:
         r8 = check_dispersive(8, g).max_ratio_kernel_vs_bound
         r16 = check_dispersive(16, g).max_ratio_kernel_vs_bound
         assert max(r8, r16) / min(r8, r16) < 2.0
+
+
+class TestSharedSweep:
+    """check_dispersive's off-arc fields come from the same sweep as its ratio."""
+
+    @staticmethod
+    def offarc_fields(rep):
+        fc = rep.fitted_constants
+        return (rep.sup_offarc_kernel, fc["offarc_fraction"], fc["offarc_degenerate"], fc["t_at_offarc_sup"])
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.45])
+    @pytest.mark.parametrize(
+        "geometry",
+        [TorusGeometry.square(1), TorusGeometry(1, (IRRATIONAL,)), TorusGeometry(2, (1.0, IRRATIONAL))],
+        ids=["d1-square", "d1-irrational", "d2"],
+    )
+    def test_matches_check_diff_bound(self, geometry, sigma):
+        rep = check_dispersive(8, geometry, sigma=sigma)
+        diff = check_diff_bound(8, sigma, geometry)
+        assert not diff.degenerate
+        assert self.offarc_fields(rep) == (diff.constant, diff.offarc_fraction, False, diff.t_at_sup)
+
+    def test_degenerate_matches(self):
+        g = TorusGeometry(2, (1.0, 0.5))
+        rep = check_dispersive(2, g, sigma=0.49, n_t=512)
+        diff = check_diff_bound(2, 0.49, g, n_t=512)
+        sup, frac, degenerate, t_sup = self.offarc_fields(rep)
+        assert diff.degenerate and degenerate
+        assert frac == diff.offarc_fraction == 0.0
+        assert np.isnan(sup) and np.isnan(diff.constant)
+        assert np.isnan(t_sup) and np.isnan(diff.t_at_sup)
+        assert rep.max_ratio_kernel_vs_bound >= 9.0
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.45])
+    def test_sweep_arrays_are_the_base_grid_sweep(self, sigma):
+        # maxima reused from the off-arc sweep equal a fresh sweep of the base grid
+        g = TorusGeometry(2, (1.0, IRRATIONAL))
+        rep = check_dispersive(8, g, sigma=sigma, n_t=1000)
+        ts, kmax, bounds = rep.sweep
+        assert np.array_equal(ts, sweep_time_grid(8, g, n_t=1000))
+        assert ts.size == rep.grid["n_t"]
+        fresh = kernel_axis_max_abs(ts, 8, 1.0, 64) * kernel_axis_max_abs(ts, 8, IRRATIONAL, 64)
+        assert np.array_equal(kmax, fresh)
+        assert np.array_equal(bounds, dispersive_bound_batch(ts, 8, g))
+        assert np.max(kmax / bounds) == rep.max_ratio_kernel_vs_bound
+        assert "sweep" not in rep.to_json_dict()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 0.7])
+    def test_sigma_out_of_range(self, sigma):
+        with pytest.raises(ValueError):
+            check_dispersive(8, TorusGeometry.square(1), sigma=sigma)
 
 
 class TestKernelSplit:

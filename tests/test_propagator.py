@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
+from toruslab import _fft
+from toruslab.core import FrequencyField, TorusGeometry, bump, sobolev_norm
 from toruslab.errors import BudgetExceededError, GridTooCoarseError
 from toruslab.propagator import (
     SpaceTimeGrid,
     _dispersion_symbol,
     free_evolve,
+    kernel_axis_max_abs,
     kernel_direct,
     kernel_grid,
     sample_spacetime,
@@ -151,6 +153,46 @@ class TestKernelGrid:
         k0 = kernel_grid(0.0, 64, N, g).values
         k1 = kernel_grid(1.0, 64, N, g).values
         assert np.max(np.abs(k1 - k0)) > 0.1 * N**2
+
+
+def full_symbol_axis_max_abs(ts, N, theta, n_x):
+    """The slice maxima from the phases of all 4N+1 modes, scattered into one buffer."""
+    k = np.arange(-2 * N, 2 * N + 1, dtype=float)
+    rows = bump(k / N) * np.exp(-2j * np.pi * np.outer(ts, theta * k * k))
+    buf = np.zeros((ts.size, n_x), dtype=np.complex128)
+    buf[:, np.arange(-2 * N, 2 * N + 1) % n_x] = rows
+    return np.max(np.abs(_fft.ifft(buf, axis=1) * n_x), axis=1)
+
+
+class TestKernelAxisMaxAbs:
+    @pytest.mark.parametrize("theta", [1.0, IRRATIONAL, 0.3])
+    @pytest.mark.parametrize("N, n_x", [(1, 5), (2, 16), (4, 17), (4, 23), (8, 33), (8, 64), (16, 131)])
+    def test_matches_full_symbol(self, N, theta, n_x):
+        # the k >= 0 phases mirrored onto k < 0 are the full symbol, bit for bit
+        ts = np.concatenate([np.arange(257) / 256, np.random.default_rng(N).random(300)])
+        want = full_symbol_axis_max_abs(ts, N, theta, n_x)
+        assert np.array_equal(kernel_axis_max_abs(ts, N, theta, n_x), want)
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 8])
+    def test_chunk_edges(self, size):
+        N, n_x, chunk = 4, 36, 7
+        ts = np.random.default_rng(size).random(size)
+        got = kernel_axis_max_abs(ts, N, IRRATIONAL, n_x, chunk=chunk)
+        assert got.shape == (size,)
+        assert np.array_equal(got, full_symbol_axis_max_abs(ts, N, IRRATIONAL, n_x))
+
+    def test_guard(self):
+        with pytest.raises(GridTooCoarseError):
+            kernel_axis_max_abs(np.array([0.1]), 4, 1.0, 16)
+
+    def test_matches_kernel_grid(self):
+        N, n_x = 8, 40
+        for theta in (1.0, IRRATIONAL):
+            g = TorusGeometry(1, (theta,))
+            ts = np.array([0.0, 0.13, 0.5, 0.871])
+            got = kernel_axis_max_abs(ts, N, theta, n_x)
+            for t, m in zip(ts, got):
+                assert m == pytest.approx(np.max(np.abs(kernel_grid(t, n_x, N, g).values)), rel=1e-12)
 
 
 class TestSampleSpacetime:
