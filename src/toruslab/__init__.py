@@ -9,7 +9,6 @@ refocusing checks), strichartz (space-time norms and scaling sweeps), nls
 
 from .core import (
     PHI_PROFILE_ID,
-    CutoffProfile,
     FrequencyField,
     TorusGeometry,
     annular_bump,

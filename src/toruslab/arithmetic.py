@@ -45,10 +45,6 @@ class RationalApprox:
         return self.a / self.q
 
     @property
-    def error(self) -> float:
-        return abs(self.beta - self.a / self.q)
-
-    @property
     def gap(self) -> float:
         """|q*beta - a|, the quantity the certificate bounds by 1/N."""
         return _gap(self.a, self.q, self.beta)

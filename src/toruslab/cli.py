@@ -32,6 +32,7 @@ from .dispersive import dispersive_suite
 from .errors import BoxTooSmallError, BudgetExceededError, GridTooCoarseError
 from .io import write_field
 from .nls import (
+    DEALIAS_FACTOR,
     NlsProblem,
     conservation_report,
     picard_solve,
@@ -345,7 +346,7 @@ def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fi
     try:
         # live cells: stored trajectory plus one transient dealiasing grid
         n_states = int(round(horizon / dt)) + 1
-        cells = n_states * (2 * box + 1) ** d + ((6 if d == 3 else 4) * box) ** d
+        cells = n_states * (2 * box + 1) ** d + (DEALIAS_FACTOR[d] * box) ** d
         if cells > budget:
             raise BudgetExceededError(f"{cells} trajectory cells exceed budget {budget}")
         u0 = _parse_data_spec(data_spec, g, box, seed)

@@ -14,7 +14,7 @@ values: every operation returns a new field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -83,23 +83,6 @@ def annular_bump(x):
     """Difference profile bump(x) - bump(2x); supported on 1/2 < |x| < 2."""
     x = np.asarray(x, dtype=float)
     return bump(x) - bump(2.0 * x)
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """The concrete smooth cutoff as a value: call it, or take its annular difference.
-
-    A single profile backs every scaled cutoff family in the package; the
-    profile_id travels with machine-readable outputs.
-    """
-
-    profile_id: str = PHI_PROFILE_ID
-
-    def __call__(self, x):
-        return bump(x)
-
-    def annular(self, x):
-        return annular_bump(x)
 
 
 @dataclass(frozen=True)
@@ -203,8 +186,8 @@ def with_box_radius(f: FrequencyField, box_radius: int) -> FrequencyField:
     return FrequencyField(f.geometry, M2, kept.copy())
 
 
-def _axis_weights(M: int, N: int, mode: str) -> np.ndarray:
-    k = np.arange(-M, M + 1, dtype=float)
+def _axis_profile(k: np.ndarray, N: int, mode: str) -> np.ndarray:
+    """1-d Littlewood-Paley cutoff at the float frequencies k."""
     if mode == "leq":
         return bump(k / N)
     if mode == "band":
@@ -220,13 +203,7 @@ def lp_symbol(k, N: int, mode: str) -> float:
     """
     require_dyadic(N)
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if mode == "leq":
-        vals = bump(k / N)
-    elif mode == "band":
-        vals = bump(k / N) - bump(2.0 * k / N)
-    else:
-        raise ValueError(f"mode must be 'leq' or 'band', got {mode!r}")
-    return float(np.prod(vals))
+    return float(np.prod(_axis_profile(k, N, mode)))
 
 
 def project(f: FrequencyField, N: int, mode: str) -> FrequencyField:
@@ -239,7 +216,8 @@ def project(f: FrequencyField, N: int, mode: str) -> FrequencyField:
         raise BoxTooSmallError(
             f"projector at scale {N} needs box_radius >= {2 * N}, field has {f.box_radius}"
         )
-    axes = [_axis_weights(f.box_radius, N, mode)] * f.geometry.d
+    k = np.arange(-f.box_radius, f.box_radius + 1, dtype=float)
+    axes = [_axis_profile(k, N, mode)] * f.geometry.d
     weights = reduce(np.multiply.outer, axes) if f.geometry.d > 1 else axes[0]
     return f.with_coeffs(f.coeffs * weights)
 
@@ -257,14 +235,34 @@ def synthesize(f: FrequencyField, x) -> complex:
     return complex(out)
 
 
-def _ksq_grid(d: int, M: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _dispersion_symbol(geometry: TorusGeometry, M: int) -> np.ndarray:
+    """sum_j theta_j k_j^2 over the coefficient box; cached, so returned read-only."""
     ks = np.arange(-M, M + 1, dtype=float) ** 2
-    total = np.zeros((2 * M + 1,) * d)
-    for j in range(d):
-        shape = [1] * d
+    total = np.zeros((2 * M + 1,) * geometry.d)
+    for j in range(geometry.d):
+        shape = [1] * geometry.d
         shape[j] = 2 * M + 1
-        total = total + ks.reshape(shape)
+        total = total + geometry.theta[j] * ks.reshape(shape)
+    total.setflags(write=False)
     return total
+
+
+def _modulus_power(vals: np.ndarray, r: float) -> np.ndarray:
+    """|vals|^r from the squared modulus; binary powering when r/2 is an integer."""
+    abs2 = vals.real**2 + vals.imag**2
+    m = r / 2.0
+    if m < 1 or not float(m).is_integer():
+        return abs2**m
+    m = int(m)
+    out = None
+    while True:
+        if m & 1:
+            out = abs2 if out is None else out * abs2
+        m >>= 1
+        if not m:
+            return out
+        abs2 = abs2 * abs2
 
 
 def sobolev_norm(f: FrequencyField, s) -> float:
@@ -273,5 +271,6 @@ def sobolev_norm(f: FrequencyField, s) -> float:
         raise ValueError(f"only s in {{0, 1}} is supported, got {s}")
     power = np.abs(f.coeffs) ** 2
     if s:
-        power = power * (1.0 + _ksq_grid(f.geometry.d, f.box_radius))
+        square = TorusGeometry.square(f.geometry.d)
+        power = power * (1.0 + _dispersion_symbol(square, f.box_radius))
     return float(np.sqrt(np.sum(power)))

@@ -5,9 +5,12 @@
 Two independent integrators are provided: a fixed-point iteration of the
 integral (Duhamel) map with composite-trapezoid quadrature, and a Strang
 split-step scheme.  Both are second order in dt and are cross-validated in the
-tests.  The nonlinearity is evaluated pseudo-spectrally on a grid oversampled
-by (d+2)/(d-2)+1 relative to the stored coefficient box, so products of stored
-modes do not alias back into the box.
+tests.  The nonlinearity is evaluated pseudo-spectrally on a grid of
+DEALIAS_FACTOR[d] * M points per axis for box radius M: 6M for d = 3, 4M for
+d = 4.  That grid is one point short of alias-free: quintic products reach
++-5M and 5M = -M (mod 6M), cubic products in d = 4 reach +-3M and
+3M = -M (mod 4M), so products of modes near the box edge alias back into the
+box.  This is an open defect (ROADMAP.md, item 3).
 
 Conserved quantities (mass, theta-weighted energy) and the Sobolev norm are
 tracked per time step; their drift is the primary solver diagnostic.
@@ -21,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fft
-from .core import FrequencyField, TorusGeometry, sobolev_norm
+from .core import FrequencyField, TorusGeometry, _dispersion_symbol, _modulus_power, sobolev_norm
 from .errors import GridTooCoarseError, NonContractionError
-from .propagator import _dispersion_symbol, _flat_positions
+from .propagator import _flat_positions, _synthesize
 from .strichartz import spacetime_lp_norm
 
 #: Pseudo-spectral grid multiple of the box radius per dimension.
@@ -69,7 +72,7 @@ class NlsProblem:
 
     @property
     def grid_size(self) -> int:
-        return DEALIAS_FACTOR[self.d] * self.u0.box_radius
+        return _grid_guard(None, self.d, self.u0.box_radius)
 
 
 @dataclass
@@ -95,25 +98,16 @@ class Trajectory:
         return np.stack([s.coeffs.ravel() for s in self.states])
 
 
-def _grid_guard(n_grid: int, d: int, M: int) -> int:
+def _grid_guard(n_grid: int | None, d: int, M: int) -> int:
+    """The pseudo-spectral grid size: DEALIAS_FACTOR[d] * M by default, never less."""
     need = DEALIAS_FACTOR[d] * M
+    if n_grid is None:
+        return need
     if n_grid < need:
         raise GridTooCoarseError(
             f"pseudo-spectral grid must be >= {need} per dimension for box radius {M}, got {n_grid}"
         )
     return n_grid
-
-
-def _rows_to_grid(rows: np.ndarray, d: int, M: int, n_grid: int) -> np.ndarray:
-    flat, folded = _flat_positions(d, M, n_grid)
-    cells = n_grid**d
-    buf = np.zeros((rows.shape[0], cells), dtype=np.complex128)
-    if folded:
-        np.add.at(buf, (slice(None), flat), rows)
-    else:
-        buf[:, flat] = rows
-    vals = _fft.ifftn(buf.reshape((rows.shape[0],) + (n_grid,) * d), axes=tuple(range(1, d + 1)))
-    return vals * cells
 
 
 def _grid_to_rows(vals: np.ndarray, d: int, M: int, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,18 +120,6 @@ def _grid_to_rows(vals: np.ndarray, d: int, M: int, n_grid: int) -> tuple[np.nda
     total = np.mean(np.abs(vals.reshape(vals.shape[0], cells)) ** 2, axis=1)
     kept = np.sum(np.abs(rows) ** 2, axis=1)
     return rows, np.maximum(total - kept, 0.0)
-
-
-def _abs_power(vals: np.ndarray, expo: float) -> np.ndarray:
-    """|vals|^expo via squared-modulus products for the even integer cases."""
-    abs2 = vals.real**2 + vals.imag**2
-    if expo == 2.0:
-        return abs2
-    if expo == 4.0:
-        return abs2 * abs2
-    if expo == 6.0:
-        return abs2 * abs2 * abs2
-    return abs2 ** (expo / 2.0)
 
 
 def _nonlinearity_rows(
@@ -156,8 +138,8 @@ def _nonlinearity_rows(
     trunc = np.empty(U.shape[0])
     for lo in range(0, U.shape[0], chunk):
         rows = U[lo : lo + chunk]
-        vals = _rows_to_grid(rows, d, M, n_grid)
-        w = (coupling * sign) * _abs_power(vals, expo) * vals
+        vals = _synthesize(rows, d, M, n_grid)
+        w = (coupling * sign) * _modulus_power(vals, expo) * vals
         out[lo : lo + chunk], trunc[lo : lo + chunk] = _grid_to_rows(w, d, M, n_grid)
     return out, trunc
 
@@ -172,8 +154,8 @@ def nonlinearity(
 ):
     """Pointwise power nonlinearity sign*|u|^(4/(d-2))*u, dealiased and re-boxed.
 
-    The grid holds DEALIAS_FACTOR[d] points per box radius so no product of
-    stored modes aliases into the retained box; energy in discarded modes is
+    The grid holds DEALIAS_FACTOR[d] points per box radius (see the module
+    docstring for the aliasing this leaves); energy in discarded modes is
     returned on request.
     """
     if d is None:
@@ -181,7 +163,7 @@ def nonlinearity(
     if d != u.geometry.d or d not in (3, 4):
         raise ValueError(f"nonlinearity defined for d in {{3, 4}} matching the field, got {d}")
     M = u.box_radius
-    n_grid = _grid_guard(n_grid if n_grid is not None else DEALIAS_FACTOR[d] * M, d, M)
+    n_grid = _grid_guard(n_grid, d, M)
     rows, trunc = _nonlinearity_rows(
         u.coeffs.ravel()[None, :], u.geometry, M, sign, coupling, n_grid
     )
@@ -211,22 +193,21 @@ def energy(
     if d not in (3, 4):
         raise ValueError("energy defined for d in {3, 4}")
     M = u.box_radius
-    n_grid = _grid_guard(n_grid if n_grid is not None else DEALIAS_FACTOR[d] * M, d, M)
-    sym = _dispersion_symbol(u.geometry, M)
+    vals = _synthesize(u.coeffs.reshape(1, -1), d, M, _grid_guard(n_grid, d, M))[0]
+    return _energy(u, vals, sign * coupling)
+
+
+def _energy(u: FrequencyField, vals: np.ndarray, strength: float) -> float:
+    """Spectral kinetic term plus strength times the potential quadrature of the grid values."""
+    d = u.geometry.d
+    sym = _dispersion_symbol(u.geometry, u.box_radius)
     kinetic = 0.5 * (2.0 * np.pi) ** 2 * float(np.sum(sym * np.abs(u.coeffs) ** 2))
-    vals = _rows_to_grid(u.coeffs.ravel()[None, :], d, M, n_grid)[0]
-    potential = float(np.mean(_abs_power(vals, 2.0 * d / (d - 2))))
-    return kinetic + sign * coupling * ((d - 2) / (2.0 * d)) * potential
+    potential = float(np.mean(_modulus_power(vals, 2.0 * d / (d - 2))))
+    return kinetic + strength * ((d - 2) / (2.0 * d)) * potential
 
 
 def _h1_weights(geometry: TorusGeometry, M: int) -> np.ndarray:
-    ks = np.arange(-M, M + 1, dtype=float) ** 2
-    total = np.zeros((2 * M + 1,) * geometry.d)
-    for j in range(geometry.d):
-        shape = [1] * geometry.d
-        shape[j] = 2 * M + 1
-        total = total + ks.reshape(shape)
-    return (1.0 + total).ravel()
+    return (1.0 + _dispersion_symbol(TorusGeometry.square(geometry.d), M)).ravel()
 
 
 def _sup_h1(U: np.ndarray, weights: np.ndarray) -> float:
@@ -280,20 +261,14 @@ def _wrap_trajectory(
 
 def compute_diagnostics(traj: Trajectory, problem: NlsProblem, n_grid: int | None = None) -> dict:
     """Mass, energy, H1 norm, and sup-norm per trajectory time."""
-    d = problem.d
     M = problem.u0.box_radius
-    n_grid = _grid_guard(n_grid if n_grid is not None else problem.grid_size, d, M)
-    sym = _dispersion_symbol(problem.geometry, M)
-    pot_power = 2.0 * d / (d - 2)
-    pot_coef = (d - 2) / (2.0 * d)
+    n_grid = _grid_guard(n_grid, problem.d, M)
+    strength = problem.sign * problem.coupling
     out = {k: np.empty(traj.times.size) for k in ("mass", "energy", "h1", "linf")}
     for i, state in enumerate(traj.states):
-        c = state.coeffs
-        out["mass"][i] = 0.5 * float(np.sum(np.abs(c) ** 2))
-        kinetic = 0.5 * (2.0 * np.pi) ** 2 * float(np.sum(sym * np.abs(c) ** 2))
-        vals = _rows_to_grid(c.ravel()[None, :], d, M, n_grid)[0]
-        potential = float(np.mean(_abs_power(vals, pot_power)))
-        out["energy"][i] = kinetic + problem.sign * problem.coupling * pot_coef * potential
+        vals = _synthesize(state.coeffs.reshape(1, -1), problem.d, M, n_grid)[0]
+        out["mass"][i] = mass(state)
+        out["energy"][i] = _energy(state, vals, strength)
         out["h1"][i] = sobolev_norm(state, 1)
         out["linf"][i] = float(np.max(np.abs(vals)))
     return out
@@ -319,7 +294,7 @@ def duhamel_apply(
         raise ValueError(f"trajectory covers [0, {times[-1]}], requested T={T}")
     M = problem.u0.box_radius
     _check_dt(times[1] - times[0], problem.geometry, M)
-    n_grid = _grid_guard(n_grid if n_grid is not None else problem.grid_size, problem.d, M)
+    n_grid = _grid_guard(n_grid, problem.d, M)
     U = u_traj.coeff_matrix()
     Phi = _duhamel_matrix(U, problem, times, n_grid)
     return _wrap_trajectory(problem, times, Phi, {"solver": "duhamel"}, n_grid)
@@ -344,7 +319,7 @@ def picard_solve(
     M = problem.u0.box_radius
     n_t = max(int(round(T / dt)), 1)
     _check_dt(T / n_t, problem.geometry, M)
-    n_grid = _grid_guard(n_grid if n_grid is not None else problem.grid_size, problem.d, M)
+    n_grid = _grid_guard(n_grid, problem.d, M)
     times = np.arange(n_t + 1) * (T / n_t)
     weights = _h1_weights(problem.geometry, M)
     p_log = 4.0 if problem.d == 3 else 10.0 / 3.0
@@ -384,7 +359,7 @@ def _trajectory_lp(U: np.ndarray, problem: NlsProblem, p: float) -> float:
     secondary, far cheaper than the dealiasing grid.
     """
     M = problem.u0.box_radius
-    vals = _rows_to_grid(U, problem.d, M, 2 * M + 1)
+    vals = _synthesize(U, problem.d, M, 2 * M + 1)
     return spacetime_lp_norm(vals, p, p)
 
 
@@ -406,7 +381,7 @@ def split_step_evolve(
     n_steps = max(int(round(T / dt)), 1)
     step = T / n_steps
     _check_dt(step, problem.geometry, M)
-    n_grid = _grid_guard(n_grid if n_grid is not None else problem.grid_size, d, M)
+    n_grid = _grid_guard(n_grid, d, M)
     sym = _dispersion_symbol(problem.geometry, M).ravel()
     lin_phase = np.exp(-2j * np.pi * step * sym)
     weights = _h1_weights(problem.geometry, M)
@@ -416,8 +391,8 @@ def split_step_evolve(
     def half_nonlinear(row: np.ndarray) -> np.ndarray:
         if problem.coupling == 0.0:
             return row  # phase rotation is identically 1; skip the grid round trip
-        vals = _rows_to_grid(row[None, :], d, M, n_grid)
-        vals = vals * np.exp(rot * _abs_power(vals, expo))
+        vals = _synthesize(row[None, :], d, M, n_grid)
+        vals = vals * np.exp(rot * _modulus_power(vals, expo))
         return _grid_to_rows(vals, d, M, n_grid)[0][0]
 
     u = problem.u0.coeffs.ravel().copy()
@@ -477,7 +452,7 @@ def contraction_factor(
     M = problem.u0.box_radius
     n_t = max(int(round(T / dt)), 1)
     _check_dt(T / n_t, problem.geometry, M)
-    n_grid = _grid_guard(n_grid if n_grid is not None else problem.grid_size, problem.d, M)
+    n_grid = _grid_guard(n_grid, problem.d, M)
     times = np.arange(n_t + 1) * (T / n_t)
     weights = _h1_weights(problem.geometry, M)
 

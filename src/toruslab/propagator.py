@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from . import _fft
-from .core import FrequencyField, TorusGeometry, bump, require_dyadic
+from .core import FrequencyField, TorusGeometry, _dispersion_symbol, bump, require_dyadic
 from .errors import BudgetExceededError, GridTooCoarseError
 
 #: Default cap on n_t * grid cells for materialized space-time sampling.
@@ -66,19 +66,6 @@ class KernelEvaluation:
 
     def at(self, x) -> complex:
         return kernel_direct(self.t, x, self.N, self.geometry)
-
-
-@lru_cache(maxsize=64)
-def _dispersion_symbol(geometry: TorusGeometry, M: int) -> np.ndarray:
-    """sum_j theta_j k_j^2 over the coefficient box; cached, so returned read-only."""
-    ks = np.arange(-M, M + 1, dtype=float) ** 2
-    total = np.zeros((2 * M + 1,) * geometry.d)
-    for j in range(geometry.d):
-        shape = [1] * geometry.d
-        shape[j] = 2 * M + 1
-        total = total + geometry.theta[j] * ks.reshape(shape)
-    total.setflags(write=False)
-    return total
 
 
 def free_evolve(f: FrequencyField, t: float, geometry: TorusGeometry | None = None) -> FrequencyField:
@@ -151,12 +138,9 @@ def kernel_grid(t: float, n_x: int, N: int, geometry: TorusGeometry) -> KernelEv
     if n_x < 4 * N + 1:
         raise GridTooCoarseError(f"need n_x >= {4 * N + 1} to hold the symbol, got {n_x}")
     k, w = _kernel_axis_symbol(N)
-    positions = (np.arange(-2 * N, 2 * N + 1) % n_x).astype(int)
     axes = [w * np.exp(-2j * np.pi * t * th * k * k) for th in geometry.theta]
     sym = reduce(np.multiply.outer, axes) if geometry.d > 1 else axes[0]
-    spec = np.zeros((n_x,) * geometry.d, dtype=np.complex128)
-    spec[np.ix_(*([positions] * geometry.d))] = sym
-    values = _fft.ifftn(spec) * n_x**geometry.d
+    values = _synthesize(sym.reshape(1, -1), geometry.d, 2 * N, n_x)[0]
     return KernelEvaluation(N=N, geometry=geometry, t=t, n_x=n_x, values=values)
 
 
@@ -167,6 +151,23 @@ def _flat_positions(d: int, M: int, n_x: int) -> tuple[np.ndarray, bool]:
     flat = np.ravel_multi_index([g.ravel() for g in grids], (n_x,) * d)
     folded = n_x < 2 * M + 1
     return flat.astype(np.int64), folded
+
+
+def _synthesize(rows: np.ndarray, d: int, M: int, n_x: int) -> np.ndarray:
+    """Grid values on the n_x^d grid of each row of box coefficients (batched inverse FFT).
+
+    Modes beyond the grid's unambiguous band fold onto their aliases, which is
+    the correct pointwise sampling semantics.
+    """
+    flat, folded = _flat_positions(d, M, n_x)
+    cells = n_x**d
+    buf = np.zeros((rows.shape[0], cells), dtype=np.complex128)
+    if folded:
+        np.add.at(buf, (slice(None), flat), rows)
+    else:
+        buf[:, flat] = rows
+    vals = _fft.ifftn(buf.reshape((rows.shape[0],) + (n_x,) * d), axes=tuple(range(1, d + 1)))
+    return vals * cells
 
 
 def _auto_chunk(cells: int) -> int:
@@ -182,27 +183,17 @@ def iter_evolved_grids(
 ):
     """Yield (time slice, grid values) chunks of the free evolution of f.
 
-    Grid values are exact samples of the synthesized function; modes beyond the
-    grid's unambiguous band fold onto their aliases, which is the correct
-    pointwise sampling semantics.
+    Grid values are exact samples of the synthesized function (see _synthesize).
     """
     d, M = f.geometry.d, f.box_radius
     sym = _dispersion_symbol(f.geometry, M).ravel()
     base = f.coeffs.ravel()
-    flat, folded = _flat_positions(d, M, n_x)
-    cells = n_x**d
     if chunk is None:
-        chunk = _auto_chunk(cells)
+        chunk = _auto_chunk(n_x**d)
     for lo in range(0, ts.size, chunk):
         tslice = ts[lo : lo + chunk]
         rows = base[None, :] * np.exp(-2j * np.pi * np.outer(tslice, sym))
-        buf = np.zeros((tslice.size, cells), dtype=np.complex128)
-        if folded:
-            np.add.at(buf, (slice(None), flat), rows)
-        else:
-            buf[:, flat] = rows
-        vals = _fft.ifftn(buf.reshape((tslice.size,) + (n_x,) * d), axes=tuple(range(1, d + 1)))
-        yield tslice, vals * cells
+        yield tslice, _synthesize(rows, d, M, n_x)
 
 
 def sample_spacetime(

@@ -16,17 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fft
 from .core import (
     FrequencyField,
     TorusGeometry,
+    _dispersion_symbol,
+    _modulus_power,
     is_dyadic,
     project,
     require_dyadic,
     sobolev_norm,
     with_box_radius,
 )
-from .propagator import iter_evolved_grids, time_sample_count
+from .propagator import _synthesize, iter_evolved_grids, time_sample_count
 
 
 def _ordered_map(fn, items, threads: int = 1) -> list:
@@ -35,23 +36,6 @@ def _ordered_map(fn, items, threads: int = 1) -> list:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _modulus_power(vals: np.ndarray, r: float) -> np.ndarray:
-    """|vals|^r from the squared modulus; repeated squaring for dyadic powers."""
-    abs2 = vals.real**2 + vals.imag**2
-    if r == 2.0:
-        return abs2
-    if r == 4.0:
-        return abs2 * abs2
-    if r == 8.0:
-        sq = abs2 * abs2
-        return sq * sq
-    if r == 16.0:
-        sq = abs2 * abs2
-        sq = sq * sq
-        return sq * sq
-    return abs2 ** (r / 2.0)
 
 
 def spacetime_lp_norm(samples: np.ndarray, p, r) -> float:
@@ -371,15 +355,9 @@ def bilinear_ratio_tensor(
 
     def axis_slices(vec: np.ndarray, theta: float, tchunk: np.ndarray) -> np.ndarray:
         M = (vec.size - 1) // 2
-        k = np.arange(-M, M + 1)
-        rows = vec[None, :] * np.exp(-2j * np.pi * np.outer(tchunk, theta * k.astype(float) ** 2))
-        buf = np.zeros((tchunk.size, n_x), dtype=np.complex128)
-        pos = k % n_x
-        if 2 * M + 1 > n_x:
-            np.add.at(buf, (slice(None), pos), rows)
-        else:
-            buf[:, pos] = rows
-        return _fft.ifft(buf, axis=1) * n_x
+        sym = _dispersion_symbol(TorusGeometry(1, (theta,)), M)
+        rows = vec[None, :] * np.exp(-2j * np.pi * np.outer(tchunk, sym))
+        return _synthesize(rows, 1, M, n_x)
 
     acc = 0.0
     for lo in range(0, n_t, chunk):

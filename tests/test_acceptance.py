@@ -8,6 +8,7 @@ PASS line (visible with -s) carrying the measured numbers.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,11 +79,15 @@ def test_criterion_2_dirichlet_certificate():
         assert np.all((1 <= q) & (q < N))
         assert np.all((0 <= a) & (a <= q))
         assert np.all(np.gcd(a, q) == 1)
-        assert np.all(np.abs(betas - a / q) <= 1.0 / (N * q))
+        # exact certificate |q*beta - a| <= 1/N in rational arithmetic
+        assert all(
+            abs(Fraction(b) * qi - ai) * N <= 1
+            for b, ai, qi in zip(betas.tolist(), a.tolist(), q.tolist())
+        )
     # spot-check the scalar path end to end
     for beta in betas[:200]:
         r = dirichlet_approx(float(beta), 64)
-        assert math.gcd(r.a, r.q) == 1 and r.error <= 1.0 / (64 * r.q)
+        assert math.gcd(r.a, r.q) == 1 and abs(Fraction(float(beta)) * r.q - r.a) * 64 <= 1
     elapsed = time.time() - t0
     assert elapsed < 10.0
     report("criterion-2", f"4e4 certificates all valid ({elapsed:.1f}s)")

@@ -77,7 +77,7 @@ def arc_definition(t: float, N: int, sigma: float, geometry: TorusGeometry):
 class TestDirichlet:
     def test_zero(self):
         r = dirichlet_approx(0.0, 4)
-        assert (r.a, r.q) == (0, 1) and r.error == 0.0
+        assert (r.a, r.q) == (0, 1) and r.gap == 0.0
 
     def test_exact_third(self):
         r = dirichlet_approx(1.0 / 3.0, 10)
@@ -87,7 +87,7 @@ class TestDirichlet:
         # exhaustive search over q < 5 certifies (1, 2) as the smallest denominator
         r = dirichlet_approx(0.41421356, 5)
         assert (r.a, r.q) == (1, 2)
-        assert r.error <= 1.0 / (5 * 2)
+        assert r.gap <= 1.0 / 5
 
     def test_beta_one_and_reduction(self):
         assert (dirichlet_approx(1.0, 8).a, dirichlet_approx(1.0, 8).q) == (1, 1)

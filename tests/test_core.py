@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from toruslab.core import (
-    CutoffProfile,
     FrequencyField,
     TorusGeometry,
+    _modulus_power,
     annular_bump,
     bump,
     dyadic_range,
@@ -57,12 +57,6 @@ class TestBump:
         assert annular_bump(0.4) == 0.0  # both pieces are 1
         assert annular_bump(2.0) == 0.0
         assert annular_bump(1.0) == pytest.approx(1.0)
-
-    def test_profile_object(self):
-        prof = CutoffProfile()
-        assert prof(1.2) == bump(1.2)
-        assert prof.annular(0.9) == annular_bump(0.9)
-        assert prof.profile_id
 
 
 class TestGeometry:
@@ -223,6 +217,37 @@ class TestSobolev:
         f = FrequencyField.character(g, 1, (0,))
         with pytest.raises(ValueError):
             sobolev_norm(f, 0.5)
+
+
+class TestModulusPower:
+    @staticmethod
+    def values():
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+        return v * np.exp(rng.uniform(-5.0, 5.0, v.size))
+
+    def test_even_powers_equal_product_chains(self):
+        v = self.values()
+        a = v.real**2 + v.imag**2
+        sq = a * a
+        chains = {2: a, 4: sq, 6: sq * a, 8: sq * sq, 16: (sq * sq) * (sq * sq)}
+        for r, want in chains.items():
+            assert np.array_equal(_modulus_power(v, r), want)
+            assert np.array_equal(_modulus_power(v, float(r)), want)
+
+    def test_other_powers(self):
+        v = self.values()
+        a = v.real**2 + v.imag**2
+        for r in (2.5, 3, 5):
+            assert np.array_equal(_modulus_power(v, r), a ** (r / 2.0))
+        # r = 10, 12 moved from pow to products: a few ulp from the pow form
+        for r in (10, 12):
+            want = a ** (r / 2.0)
+            assert np.all(np.abs(_modulus_power(v, r) - want) <= 4 * np.spacing(want))
+        # against |v|**r both routes round, so the gap grows with r
+        for r in (2.5, 3, 5, 10, 12):
+            want = np.abs(v) ** r
+            assert np.all(np.abs(_modulus_power(v, r) - want) <= 2 * r * 2.0**-52 * want)
 
 
 class TestBoxOps:

@@ -339,6 +339,19 @@ class TestDiagnostics:
         for key in ("mass", "energy", "h1", "linf"):
             assert traj.diagnostics[key].shape == traj.times.shape
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_mass_energy_match_public_functions(self, d):
+        g = TorusGeometry(d, (1.0, 0.7071067811865476, 0.3, 0.9)[:d])
+        rng = np.random.default_rng(40 + d)
+        shape = (5,) * d
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u0 = FrequencyField(g, 2, 0.05 * c / np.sqrt(np.sum(np.abs(c) ** 2)))
+        for sign in (1, -1):
+            traj = split_step_evolve(NlsProblem(g, sign, u0), 0.004, 1e-3)
+            for i, state in enumerate(traj.states):
+                assert traj.diagnostics["mass"][i] == mass(state)
+                assert traj.diagnostics["energy"][i] == energy(state, sign)
+
     def test_linf_constant_for_plane_wave(self):
         prob = plane_wave_problem(0.2)
         traj = split_step_evolve(prob, 0.05, 1e-3)

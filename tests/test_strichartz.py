@@ -172,12 +172,13 @@ class TestBilinearRatio:
         g = self.geometry()
         axes_f = [band_axis_coeffs("flat", 4) for _ in range(3)]
         axes_h = [band_axis_coeffs("flat", 2) for _ in range(3)]
-        rt = bilinear_ratio_tensor(axes_f, 4, axes_h, 2, g, horizon=1.0, n_t=300, n_x=24)
-        rg = bilinear_ratio(
-            tensor_field(axes_f, g), 4, tensor_field(axes_h, g), 2, g,
-            horizon=1.0, n_t=300, n_x=24,
-        )
-        assert rt == pytest.approx(rg, rel=1e-12)
+        for n_x in (24, 7):  # 7 < 2*N1+1 folds the N1 = 4 band in both paths
+            rt = bilinear_ratio_tensor(axes_f, 4, axes_h, 2, g, horizon=1.0, n_t=300, n_x=n_x)
+            rg = bilinear_ratio(
+                tensor_field(axes_f, g), 4, tensor_field(axes_h, g), 2, g,
+                horizon=1.0, n_t=300, n_x=n_x,
+            )
+            assert rt == pytest.approx(rg, rel=1e-12)
 
     def test_band_mismatch_rejected(self):
         g = self.geometry()
