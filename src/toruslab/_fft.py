@@ -16,12 +16,12 @@ def set_workers(n: int) -> None:
     _WORKERS = max(int(n), 1)
 
 
-def fft(a, axis=-1):
-    return _sfft.fft(a, axis=axis, workers=_WORKERS)
+def fft(a, axis=-1, norm=None, overwrite_x=False):
+    return _sfft.fft(a, axis=axis, norm=norm, overwrite_x=overwrite_x, workers=_WORKERS)
 
 
-def ifft(a, axis=-1):
-    return _sfft.ifft(a, axis=axis, workers=_WORKERS)
+def ifft(a, axis=-1, norm=None, overwrite_x=False):
+    return _sfft.ifft(a, axis=axis, norm=norm, overwrite_x=overwrite_x, workers=_WORKERS)
 
 
 def fftn(a, axes=None):

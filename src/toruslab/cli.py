@@ -373,6 +373,7 @@ def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fi
     payload = _meta(config, seed)
     payload["report"] = conservation_report(traj)
     payload["flag"] = traj.info.get("flag")
+    payload["max_truncated_energy"] = traj.info["max_truncated_energy"]
     _write_json(out_dir / "nls_summary.json", payload)
     click.echo(json.dumps(payload["report"], sort_keys=True))
 

@@ -12,6 +12,14 @@ d = 4.  That grid is one point short of alias-free: quintic products reach
 3M = -M (mod 4M), so products of modes near the box edge alias back into the
 box.  This is an open defect (ROADMAP.md, item 3).
 
+Each round trip synthesizes the box onto the grid one axis at a time
+(propagator._synthesize) and analyzes back with the mirror primitive
+(propagator._analyze), which keeps only the box slice after each axis pass;
+both transform only the FFT pencils that carry box modes and give the bits
+of the full-grid transforms.  The energy a round trip discards outside the
+box is reported: the solvers keep its largest value in
+Trajectory.info["max_truncated_energy"].
+
 Conserved quantities (mass, theta-weighted energy) and the Sobolev norm are
 tracked per time step; their drift is the primary solver diagnostic.
 """
@@ -23,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _fft
 from .core import FrequencyField, TorusGeometry, _dispersion_symbol, _modulus_power, sobolev_norm
 from .errors import GridTooCoarseError, NonContractionError
-from .propagator import _flat_positions, _synthesize
+from .propagator import _analyze, _synthesize
 from .strichartz import spacetime_lp_norm
 
 #: Pseudo-spectral grid multiple of the box radius per dimension.
@@ -111,13 +118,13 @@ def _grid_guard(n_grid: int | None, d: int, M: int) -> int:
 
 
 def _grid_to_rows(vals: np.ndarray, d: int, M: int, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analyze grid values back to box coefficients; also return truncated energy."""
-    flat, _ = _flat_positions(d, M, n_grid)
-    cells = n_grid**d
-    spec = _fft.fftn(vals, axes=tuple(range(1, vals.ndim))) / cells
-    spec = spec.reshape(vals.shape[0], cells)
-    rows = spec[:, flat]
-    total = np.mean(np.abs(vals.reshape(vals.shape[0], cells)) ** 2, axis=1)
+    """Analyze grid values back to box coefficients; also return truncated energy.
+
+    The truncated energy of a grid is mean |v|^2 minus the energy of the kept
+    modes: by Parseval, the energy of the modes the box discards.
+    """
+    rows = _analyze(vals, d, M, n_grid)
+    total = np.mean(np.abs(vals.reshape(vals.shape[0], -1)) ** 2, axis=1)
     kept = np.sum(np.abs(rows) ** 2, axis=1)
     return rows, np.maximum(total - kept, 0.0)
 
@@ -227,26 +234,28 @@ def _free_matrix(problem: NlsProblem, times: np.ndarray) -> np.ndarray:
 
 def _duhamel_integral(
     U: np.ndarray, problem: NlsProblem, times: np.ndarray, n_grid: int
-) -> np.ndarray:
-    """Cumulative trapezoid of e^{-i s Delta} F(u(s)) over the trajectory nodes."""
+) -> tuple[np.ndarray, float]:
+    """Cumulative trapezoid of e^{-i s Delta} F(u(s)) over the trajectory nodes,
+    and the largest truncated energy of the nonlinearity's round trips."""
     M = problem.u0.box_radius
     sym = _dispersion_symbol(problem.geometry, M).ravel()
-    F, _ = _nonlinearity_rows(U, problem.geometry, M, problem.sign, problem.coupling, n_grid)
+    F, trunc = _nonlinearity_rows(U, problem.geometry, M, problem.sign, problem.coupling, n_grid)
     G = F * np.exp(2j * np.pi * np.outer(times, sym))
     dt = times[1] - times[0]
     I = np.zeros_like(G)
     I[1:] = np.cumsum(0.5 * dt * (G[1:] + G[:-1]), axis=0)
-    return I
+    return I, float(np.max(trunc))
 
 
 def _duhamel_matrix(
     U: np.ndarray, problem: NlsProblem, times: np.ndarray, n_grid: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     sym = _dispersion_symbol(problem.geometry, problem.u0.box_radius).ravel()
-    I = _duhamel_integral(U, problem, times, n_grid)
-    return (problem.u0.coeffs.ravel()[None, :] - 1j * I) * np.exp(
+    I, trunc = _duhamel_integral(U, problem, times, n_grid)
+    Phi = (problem.u0.coeffs.ravel()[None, :] - 1j * I) * np.exp(
         -2j * np.pi * np.outer(times, sym)
     )
+    return Phi, trunc
 
 
 def _wrap_trajectory(
@@ -265,12 +274,15 @@ def compute_diagnostics(traj: Trajectory, problem: NlsProblem, n_grid: int | Non
     n_grid = _grid_guard(n_grid, problem.d, M)
     strength = problem.sign * problem.coupling
     out = {k: np.empty(traj.times.size) for k in ("mass", "energy", "h1", "linf")}
-    for i, state in enumerate(traj.states):
-        vals = _synthesize(state.coeffs.reshape(1, -1), problem.d, M, n_grid)[0]
-        out["mass"][i] = mass(state)
-        out["energy"][i] = _energy(state, vals, strength)
-        out["h1"][i] = sobolev_norm(state, 1)
-        out["linf"][i] = float(np.max(np.abs(vals)))
+    chunk = 32  # as in _nonlinearity_rows: no larger transient than Picard holds
+    for lo in range(0, len(traj.states), chunk):
+        states = traj.states[lo : lo + chunk]
+        grids = _synthesize(np.stack([s.coeffs.ravel() for s in states]), problem.d, M, n_grid)
+        for i, (state, vals) in enumerate(zip(states, grids), start=lo):
+            out["mass"][i] = mass(state)
+            out["energy"][i] = _energy(state, vals, strength)
+            out["h1"][i] = sobolev_norm(state, 1)
+            out["linf"][i] = float(np.max(np.abs(vals)))
     return out
 
 
@@ -296,7 +308,7 @@ def duhamel_apply(
     _check_dt(times[1] - times[0], problem.geometry, M)
     n_grid = _grid_guard(n_grid, problem.d, M)
     U = u_traj.coeff_matrix()
-    Phi = _duhamel_matrix(U, problem, times, n_grid)
+    Phi, _ = _duhamel_matrix(U, problem, times, n_grid)
     return _wrap_trajectory(problem, times, Phi, {"solver": "duhamel"}, n_grid)
 
 
@@ -314,7 +326,8 @@ def picard_solve(
     iteration space metric); the mixed L^p space-time norm of each correction
     is logged alongside.  Three consecutive non-contracting steps raise
     NonContractionError, mirroring the smallness hypotheses of the local
-    theory.
+    theory.  info["max_truncated_energy"] is the largest energy the last
+    iteration's round trips discarded outside the box.
     """
     M = problem.u0.box_radius
     n_t = max(int(round(T / dt)), 1)
@@ -329,7 +342,7 @@ def picard_solve(
     prev_diff = None
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        V = _duhamel_matrix(U, problem, times, n_grid)
+        V, trunc = _duhamel_matrix(U, problem, times, n_grid)
         diff = V - U
         d_h1 = _sup_h1(diff, weights)
         d_lp = _trajectory_lp(diff, problem, p_log)
@@ -342,7 +355,8 @@ def picard_solve(
         if d_h1 < tol:
             return _wrap_trajectory(
                 problem, times, U,
-                {"solver": "picard", "iterations": log, "converged": True}, n_grid,
+                {"solver": "picard", "iterations": log, "converged": True,
+                 "max_truncated_energy": trunc}, n_grid,
             )
         if bad_streak >= 3:
             raise NonContractionError(
@@ -374,7 +388,8 @@ def split_step_evolve(
     The nonlinear sub-flow rotates grid values by exp(-i*sign*dt/2*|u|^(4/(d-2)))
     exactly (|u| is invariant); the linear step is exact in coefficient space.
     A blow-up guard aborts with a flagged, truncated trajectory when the H1
-    norm exceeds 1e3 times its initial value.
+    norm exceeds 1e3 times its initial value.  info["max_truncated_energy"] is
+    the largest energy a round trip discarded outside the box (0 without one).
     """
     d = problem.d
     M = problem.u0.box_radius
@@ -387,13 +402,17 @@ def split_step_evolve(
     weights = _h1_weights(problem.geometry, M)
     expo = problem.exponent
     rot = -1j * problem.sign * problem.coupling * (step / 2.0)
+    max_trunc = 0.0
 
     def half_nonlinear(row: np.ndarray) -> np.ndarray:
+        nonlocal max_trunc
         if problem.coupling == 0.0:
             return row  # phase rotation is identically 1; skip the grid round trip
         vals = _synthesize(row[None, :], d, M, n_grid)
         vals = vals * np.exp(rot * _modulus_power(vals, expo))
-        return _grid_to_rows(vals, d, M, n_grid)[0][0]
+        rows, trunc = _grid_to_rows(vals, d, M, n_grid)
+        max_trunc = max(max_trunc, float(trunc[0]))
+        return rows[0]
 
     u = problem.u0.coeffs.ravel().copy()
     h1_initial = float(np.sqrt(np.sum(weights * np.abs(u) ** 2)))
@@ -410,7 +429,7 @@ def split_step_evolve(
         if h1_initial > 0 and h1 > BLOWUP_FACTOR * h1_initial:
             flagged = True
             break
-    info = {"solver": "split-step", "dt": step}
+    info = {"solver": "split-step", "dt": step, "max_truncated_energy": max_trunc}
     if flagged:
         info["flag"] = "blowup"
     return _wrap_trajectory(problem, np.asarray(times), np.stack(rows), info, n_grid)
@@ -464,8 +483,8 @@ def contraction_factor(
     delta = perturb * sobolev_norm(problem.u0, 1)
     V = U + delta * W
 
-    I_u = _duhamel_integral(U, problem, times, n_grid)
-    I_v = _duhamel_integral(V, problem, times, n_grid)
+    I_u, _ = _duhamel_integral(U, problem, times, n_grid)
+    I_v, _ = _duhamel_integral(V, problem, times, n_grid)
     # Phi(v)-Phi(u) = e^{it Delta}(-i)(I_v - I_u); the phases preserve H1.
     num = _sup_h1(I_v - I_u, weights)
     den = _sup_h1(V - U, weights)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -144,30 +144,66 @@ def kernel_grid(t: float, n_x: int, N: int, geometry: TorusGeometry) -> KernelEv
     return KernelEvaluation(N=N, geometry=geometry, t=t, n_x=n_x, values=values)
 
 
-def _flat_positions(d: int, M: int, n_x: int) -> tuple[np.ndarray, bool]:
-    """Row-major flat indices of box modes on the n_x^d grid; flags collisions."""
+@lru_cache(maxsize=64)
+def _flat_positions(d: int, M: int, n_x: int) -> np.ndarray:
+    """Row-major flat indices of box modes on the n_x^d grid; cached, so returned read-only."""
     axis = np.arange(-M, M + 1) % n_x
     grids = np.meshgrid(*([axis] * d), indexing="ij")
-    flat = np.ravel_multi_index([g.ravel() for g in grids], (n_x,) * d)
-    folded = n_x < 2 * M + 1
-    return flat.astype(np.int64), folded
+    flat = np.ravel_multi_index([g.ravel() for g in grids], (n_x,) * d).astype(np.int64)
+    flat.setflags(write=False)
+    return flat
 
 
 def _synthesize(rows: np.ndarray, d: int, M: int, n_x: int) -> np.ndarray:
     """Grid values on the n_x^d grid of each row of box coefficients (batched inverse FFT).
 
-    Modes beyond the grid's unambiguous band fold onto their aliases, which is
-    the correct pointwise sampling semantics.
+    When the grid holds the box (n_x >= 2M+1) the box is padded and
+    inverse-transformed one axis at a time, in the order ifftn over axes
+    1..d uses, so only the pencils that can hold a nonzero value are
+    transformed.  An all-zero pencil transforms to zero and the first pass
+    carries ifftn's 1/n_x^d factor, so the values are those of one ifftn over
+    the zero-padded grid.  Modes beyond the grid's unambiguous band fold onto
+    their aliases, which is the correct pointwise sampling semantics.
     """
-    flat, folded = _flat_positions(d, M, n_x)
     cells = n_x**d
-    buf = np.zeros((rows.shape[0], cells), dtype=np.complex128)
-    if folded:
-        np.add.at(buf, (slice(None), flat), rows)
-    else:
-        buf[:, flat] = rows
-    vals = _fft.ifftn(buf.reshape((rows.shape[0],) + (n_x,) * d), axes=tuple(range(1, d + 1)))
-    return vals * cells
+    lead = (rows.shape[0],)
+    if n_x < 2 * M + 1:
+        buf = np.zeros(lead + (cells,), dtype=np.complex128)
+        np.add.at(buf, (slice(None), _flat_positions(d, M, n_x)), rows)
+        vals = _fft.ifftn(buf.reshape(lead + (n_x,) * d), axes=tuple(range(1, d + 1)))
+        return vals * cells
+    vals = rows.reshape(lead + (2 * M + 1,) * d)
+    for axis in range(1, d + 1):
+        head = (slice(None),) * axis
+        buf = np.zeros(vals.shape[:axis] + (n_x,) + vals.shape[axis + 1 :], dtype=np.complex128)
+        buf[head + (slice(0, M + 1),)] = vals[head + (slice(M, None),)]
+        buf[head + (slice(n_x - M, None),)] = vals[head + (slice(0, M),)]
+        vals = _fft.ifft(buf, axis=axis, norm="forward", overwrite_x=True)
+        if axis == 1:
+            # pocketfft scales each component by 1/n_x^d computed in long double
+            parts = vals.view(np.float64)
+            parts *= float(1 / np.longdouble(cells))
+    vals *= cells
+    return vals
+
+
+def _analyze(vals: np.ndarray, d: int, M: int, n_x: int) -> np.ndarray:
+    """Box coefficients of each grid in a stack: fftn(vals)/n_x^d at the box modes.
+
+    The mirror of _synthesize: axes 1..d are forward-transformed in turn and
+    only the box slice along an axis is kept after its pass, so later passes
+    skip the pencils whose modes are discarded.  Rows come back in the box's
+    row-major order.
+    """
+    if n_x < 2 * M + 1:
+        raise GridTooCoarseError(f"need n_x >= {2 * M + 1} to hold the box, got {n_x}")
+    for axis in range(1, d + 1):
+        head = (slice(None),) * axis
+        spec = _fft.fft(vals, axis=axis, overwrite_x=axis > 1)  # the caller's grid is kept
+        vals = np.concatenate(
+            (spec[head + (slice(n_x - M, None),)], spec[head + (slice(0, M + 1),)]), axis=axis
+        )
+    return vals.reshape(vals.shape[0], -1) / n_x**d
 
 
 def _auto_chunk(cells: int) -> int:

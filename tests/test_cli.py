@@ -6,6 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from toruslab import _fft
 from toruslab.cli import main
 
 
@@ -154,6 +155,8 @@ class TestNlsRun:
         assert lines[0].startswith("# ")
         assert lines[1] == "t,mass,energy,h1,linf"
         assert len(lines) == 53  # meta + header + 51 states
+        summary = json.loads((tmp_path / "nls_summary.json").read_text())
+        assert 0.0 <= summary["max_truncated_energy"] <= 1e-14 * 0.01**2
 
     def test_field_dump(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -163,6 +166,24 @@ class TestNlsRun:
         assert result.exit_code == 0
         assert (tmp_path / "state_000000.fld").exists()
         assert (tmp_path / "state_000002.fld").exists()
+
+    @pytest.mark.parametrize("solver", ["picard", "splitstep"])
+    @pytest.mark.parametrize("dim, box", [("3", "4"), ("4", "2")])
+    def test_threads_do_not_change_output(self, runner, tmp_path, monkeypatch, solver, dim, box):
+        monkeypatch.setattr(_fft, "_WORKERS", _fft._WORKERS)  # restored after the test
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            result = runner.invoke(main, [
+                "nls-run", "--d", dim, "--data", "gaussian:0.25", "--N", box, "--T", "0.004",
+                "--dt", "1e-3", "--solver", solver, "--seed", "3", "--dump-fields",
+                "--threads", threads, "--out-dir", str(out),
+            ])
+            assert result.exit_code == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outs[0]) == 7  # diagnostics, summary and 5 states
+        assert json.loads(outs[0]["nls_summary.json"])["max_truncated_energy"] > 0
+        assert outs[0] == outs[1]
 
     def test_budget_abort(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
+from toruslab import _fft
+from toruslab.core import FrequencyField, TorusGeometry, _dispersion_symbol, sobolev_norm
 from toruslab.errors import GridTooCoarseError, NonContractionError
 from toruslab.nls import (
     NlsProblem,
@@ -19,6 +20,9 @@ from toruslab.nls import (
     plane_wave_phase,
     split_step_evolve,
 )
+from toruslab.propagator import _synthesize
+
+from test_propagator import box_flat, full_grid_analyze, full_grid_synthesize
 
 
 def cubic_geometry():
@@ -41,6 +45,26 @@ def two_mode_problem(a, b, sign=+1, M=4, d=3):
 
 def h1_distance(f, h):
     return sobolev_norm(f.with_coeffs(f.coeffs - h.coeffs), 1)
+
+
+def random_problem(d, M, scale, seed, sign=+1):
+    g = TorusGeometry(d, (1.0, 0.7071067811865476, 0.3, 0.9)[:d])
+    rng = np.random.default_rng(seed)
+    shape = (2 * M + 1,) * d
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return NlsProblem(g, sign, FrequencyField(g, M, scale * c / np.sqrt(np.sum(np.abs(c) ** 2))))
+
+
+def full_grid_values(u, n):
+    return full_grid_synthesize(u.coeffs.reshape(1, -1), u.geometry.d, u.box_radius, n)[0]
+
+
+def discarded_energy(w, M):
+    """Energy of the modes of grid values w outside the box, from one full-grid fftn."""
+    n, d = w.shape[0], w.ndim
+    spec = (np.abs(_fft.fftn(w) / n**d) ** 2).ravel()
+    spec[box_flat(d, M, n)] = 0.0
+    return float(np.sum(spec))
 
 
 class TestProblemValidation:
@@ -93,11 +117,14 @@ class TestNonlinearity:
             nonlinearity(u, n_grid=16)  # needs 6 * 4 = 24
 
     def test_truncation_energy_reported(self):
-        g = cubic_geometry()
-        rng = np.random.default_rng(0)
-        u = FrequencyField(g, 2, 0.5 * (rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))))
-        out, trunc = nonlinearity(u, return_truncation=True)
-        assert trunc >= 0.0
+        # the reported value is the energy of the modes the box discards
+        for d, M in ((3, 2), (3, 4), (4, 2)):
+            u = random_problem(d, M, 0.5, seed=d + M).u0
+            _, trunc = nonlinearity(u, return_truncation=True)
+            vals = full_grid_values(u, 6 * M if d == 3 else 4 * M)
+            want = discarded_energy(np.abs(vals) ** (4 / (d - 2)) * vals, M)
+            assert want > 0
+            assert trunc == pytest.approx(want, rel=1e-12)
 
 
 class TestMassEnergy:
@@ -356,3 +383,55 @@ class TestDiagnostics:
         prob = plane_wave_problem(0.2)
         traj = split_step_evolve(prob, 0.05, 1e-3)
         assert np.allclose(traj.diagnostics["linf"], 0.2, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_batched_diagnostics_match_per_state_loop(self, d):
+        # 41 states: more than one chunk of synthesized grids
+        prob = random_problem(d, 2, 0.1, seed=50 + d, sign=-1)
+        traj = split_step_evolve(prob, 0.04, 1e-3)
+        assert len(traj.states) > 32
+        n = prob.grid_size
+        for i, state in enumerate(traj.states):
+            vals = _synthesize(state.coeffs.reshape(1, -1), d, 2, n)[0]
+            assert traj.diagnostics["mass"][i] == mass(state)
+            assert traj.diagnostics["energy"][i] == energy(state, -1)
+            assert traj.diagnostics["h1"][i] == sobolev_norm(state, 1)
+            assert traj.diagnostics["linf"][i] == float(np.max(np.abs(vals)))
+
+
+class TestTruncatedEnergyRecord:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_split_step_records_largest_round_trip(self, d):
+        # one step is two round trips; replay both on the full grid
+        M, dt = 2, 1e-3
+        prob = random_problem(d, M, 0.5, seed=60 + d)
+        traj = split_step_evolve(prob, dt, dt)
+        n, expo = prob.grid_size, 4 / (d - 2)
+        lin = np.exp(-2j * np.pi * dt * _dispersion_symbol(prob.geometry, M))
+        u, want = prob.u0, []
+        for phase in (lin, 1.0):
+            vals = full_grid_values(u, n)
+            w = vals * np.exp(-1j * (dt / 2) * np.abs(vals) ** expo)
+            want.append(discarded_energy(w, M))
+            u = u.with_coeffs(full_grid_analyze(w[None], d, M, n)[0].reshape(u.coeffs.shape) * phase)
+        assert min(want) > 0
+        assert traj.info["max_truncated_energy"] == pytest.approx(max(want), rel=1e-12)
+
+    def test_picard_records_last_iteration(self):
+        # at the fixed point the last iterate's round trips are those of the final states
+        prob = random_problem(3, 2, 0.5, seed=70)
+        traj = picard_solve(prob, 0.004, 1e-3)
+        want = max(nonlinearity(s, return_truncation=True)[1] for s in traj.states)
+        assert want > 0
+        assert traj.info["max_truncated_energy"] == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_character_records_nothing(self, d):
+        amp = 0.5
+        u0 = FrequencyField.character(TorusGeometry.square(d), 2, (1,) + (0,) * (d - 1), amplitude=amp)
+        prob = NlsProblem(u0.geometry, +1, u0)
+        split = split_step_evolve(prob, 0.004, 1e-3)
+        picard = picard_solve(prob, 0.004, 1e-3)
+        # totals: mean |w|^2 of the rotated grid (|u|^2) and of |u|^(4/(d-2)) u
+        assert 0.0 <= split.info["max_truncated_energy"] <= 1e-14 * amp**2
+        assert 0.0 <= picard.info["max_truncated_energy"] <= 1e-14 * amp ** (2 + 8 / (d - 2))

@@ -8,7 +8,10 @@ from toruslab.core import FrequencyField, TorusGeometry, bump, sobolev_norm, syn
 from toruslab.errors import BudgetExceededError, GridTooCoarseError
 from toruslab.propagator import (
     SpaceTimeGrid,
+    _analyze,
     _dispersion_symbol,
+    _flat_positions,
+    _synthesize,
     free_evolve,
     kernel_axis_max_abs,
     kernel_direct,
@@ -193,6 +196,70 @@ class TestKernelAxisMaxAbs:
             got = kernel_axis_max_abs(ts, N, theta, n_x)
             for t, m in zip(ts, got):
                 assert m == pytest.approx(np.max(np.abs(kernel_grid(t, n_x, N, g).values)), rel=1e-12)
+
+
+def box_flat(d, M, n_x):
+    axis = np.arange(-M, M + 1) % n_x
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.ravel_multi_index([g.ravel() for g in grids], (n_x,) * d)
+
+
+def full_grid_synthesize(rows, d, M, n_x):
+    """Reference: scatter the box into the zero n_x^d grid, one ifftn, times n_x^d.
+
+    Modes that fold onto one grid frequency (n_x < 2M+1) add up.
+    """
+    buf = np.zeros((rows.shape[0], n_x**d), dtype=np.complex128)
+    if n_x < 2 * M + 1:
+        np.add.at(buf, (slice(None), box_flat(d, M, n_x)), rows)
+    else:
+        buf[:, box_flat(d, M, n_x)] = rows
+    vals = _fft.ifftn(buf.reshape((rows.shape[0],) + (n_x,) * d), axes=tuple(range(1, d + 1)))
+    return vals * n_x**d
+
+
+def full_grid_analyze(vals, d, M, n_x):
+    """Reference: one fftn over the grid, divided by n_x^d, gathered at the box modes."""
+    spec = _fft.fftn(vals, axes=tuple(range(1, d + 1))) / n_x**d
+    return spec.reshape(vals.shape[0], n_x**d)[:, box_flat(d, M, n_x)]
+
+
+class TestPrunedRoundTrip:
+    @pytest.mark.parametrize("M", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_full_grid(self, d, M):
+        # the pruned axis passes give the bits of the full-grid transforms
+        rng = np.random.default_rng(10 * d + M)
+        sizes = {2 * M + 1, 2 * M + 2, 2 * M + 3, 2 * M + 5, 4 * M + 4, 6 * M}
+        for n_x in sorted(n for n in sizes if n >= 2 * M + 1):
+            for count in (1, 3, 33):
+                rows = rng.standard_normal((count, (2 * M + 1) ** d)) + 1j * rng.standard_normal(
+                    (count, (2 * M + 1) ** d)
+                )
+                assert np.array_equal(_synthesize(rows, d, M, n_x), full_grid_synthesize(rows, d, M, n_x))
+                vals = full_grid_synthesize(rows, d, M, n_x) ** 2
+                assert np.array_equal(_analyze(vals, d, M, n_x), full_grid_analyze(vals, d, M, n_x))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_folded_path_unchanged(self, d):
+        rng = np.random.default_rng(d)
+        M = 3
+        for n_x in (1, 2, 5, 6):
+            rows = rng.standard_normal((3, 7**d)) + 1j * rng.standard_normal((3, 7**d))
+            assert np.array_equal(_synthesize(rows, d, M, n_x), full_grid_synthesize(rows, d, M, n_x))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_analyze_rejects_folded_grid(self, d):
+        M = 2
+        with pytest.raises(GridTooCoarseError):
+            _analyze(np.zeros((1,) + (2 * M,) * d, dtype=np.complex128), d, M, 2 * M)
+
+    def test_box_index_cached_read_only(self):
+        flat = _flat_positions(2, 3, 5)
+        assert _flat_positions(2, 3, 5) is flat
+        assert np.array_equal(flat, box_flat(2, 3, 5))
+        with pytest.raises(ValueError):
+            flat[0] = 1
 
 
 class TestSampleSpacetime:
