@@ -101,15 +101,22 @@ def _guard_abort(out_dir: Path | None, config: dict, seed, exc: Exception) -> No
 
 
 class _Group(click.Group):
-    """Reports a plain ValueError as a usage error (exit 2); guard errors keep exit 1."""
+    """Reports a plain ValueError as a usage error (exit 2); guard errors keep exit 1.
+
+    A command's --threads sets the FFT worker count for that command only: the
+    previous count is restored when it exits, however it exits.
+    """
 
     def invoke(self, ctx):
+        workers = _fft._WORKERS
         try:
             return super().invoke(ctx)
         except GUARD_ERRORS:
             raise
         except ValueError as exc:
             raise click.UsageError(str(exc), ctx) from exc
+        finally:
+            _fft._WORKERS = workers
 
 
 @click.group(cls=_Group)
@@ -259,6 +266,7 @@ def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, 
         "max_residual": fit.max_residual,
         "theoretical_exponent": fit.theoretical_exponent,
     }
+    payload["quadrature"] = fit.quadrature
     _write_json(Path(out_dir) / "strichartz_fit.json", payload)
     click.echo(json.dumps(payload["fit"], sort_keys=True))
 
@@ -294,6 +302,9 @@ def bilinear_check(dim, theta, n1_list, horizons, data_class, n_x, n_t, seed, th
                rows, meta=_meta(config, seed))
     payload = _meta(config, seed)
     payload["max_ratio"] = max(r["ratio"] for r in records)
+    payload["quadrature"] = [
+        {k: r[k] for k in ("N1", "N2", "T", "n_t", "n_x", "exact")} for r in records
+    ]
     _write_json(Path(out_dir) / "bilinear_summary.json", payload)
     click.echo(json.dumps({"max_ratio": payload["max_ratio"]}, sort_keys=True))
 
@@ -323,7 +334,8 @@ def _parse_data_spec(spec: str, g: TorusGeometry, box: int, seed: int) -> Freque
 @click.option("--theta", type=str, default=None)
 @click.option("--sign", type=click.Choice(["defocusing", "focusing"]), default="defocusing", show_default=True)
 @click.option("--data", "data_spec", type=str, default="planewave:0.01", show_default=True)
-@click.option("--N", "box", type=int, default=8, show_default=True, help="coefficient box radius")
+@click.option("--N", "box", type=click.IntRange(min=1), default=8, show_default=True,
+              help="coefficient box radius")
 @click.option("--T", "horizon", type=float, default=0.25, show_default=True)
 @click.option("--dt", type=float, default=1e-3, show_default=True)
 @click.option("--solver", type=click.Choice(["picard", "splitstep"]), default="splitstep", show_default=True)

@@ -45,6 +45,9 @@ STABILITY_GUARD = 1.0
 #: Abort threshold for the split-step blow-up guard, relative to the initial H1 norm.
 BLOWUP_FACTOR = 1.0e3
 
+#: Grid cells per batched round trip (at least one row): about 1 MiB of complex values.
+BATCH_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class NlsProblem:
@@ -117,6 +120,11 @@ def _grid_guard(n_grid: int | None, d: int, M: int) -> int:
     return n_grid
 
 
+def _batch_rows(d: int, n_grid: int) -> int:
+    """Rows per batch so one batch's grids hold about BATCH_CELLS cells."""
+    return max(1, BATCH_CELLS // n_grid**d)
+
+
 def _grid_to_rows(vals: np.ndarray, d: int, M: int, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Analyze grid values back to box coefficients; also return truncated energy.
 
@@ -136,18 +144,19 @@ def _nonlinearity_rows(
     sign: int,
     coupling: float,
     n_grid: int,
-    chunk: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-spectral sign*coupling*|u|^(4/(d-2)) u for a stack of coefficient rows."""
     d = geometry.d
     expo = 4.0 / (d - 2)
     out = np.empty_like(U)
     trunc = np.empty(U.shape[0])
+    chunk = _batch_rows(d, n_grid)
     for lo in range(0, U.shape[0], chunk):
-        rows = U[lo : lo + chunk]
-        vals = _synthesize(rows, d, M, n_grid)
-        w = (coupling * sign) * _modulus_power(vals, expo) * vals
-        out[lo : lo + chunk], trunc[lo : lo + chunk] = _grid_to_rows(w, d, M, n_grid)
+        vals = _synthesize(U[lo : lo + chunk], d, M, n_grid)
+        factor = (coupling * sign) * _modulus_power(vals, expo)
+        parts = vals.view(np.float64).reshape(vals.shape + (2,))
+        parts *= factor[..., None]  # the real factor scales both parts: no complex product
+        out[lo : lo + chunk], trunc[lo : lo + chunk] = _grid_to_rows(vals, d, M, n_grid)
     return out, trunc
 
 
@@ -227,20 +236,28 @@ def _check_dt(dt: float, geometry: TorusGeometry, M: int) -> None:
         raise GridTooCoarseError(f"time step {dt} exceeds the stability guard {limit:.3e}")
 
 
-def _free_matrix(problem: NlsProblem, times: np.ndarray) -> np.ndarray:
+def _flow_phases(problem: NlsProblem, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-2 pi i t s} and e^{+2 pi i t s} per trajectory node t and box mode symbol s:
+    the free flow and its inverse, built once per solve."""
     sym = _dispersion_symbol(problem.geometry, problem.u0.box_radius).ravel()
-    return problem.u0.coeffs.ravel()[None, :] * np.exp(-2j * np.pi * np.outer(times, sym))
+    ts = np.outer(times, sym)
+    return np.exp(-2j * np.pi * ts), np.exp(2j * np.pi * ts)
+
+
+def _free_matrix(problem: NlsProblem, forward: np.ndarray) -> np.ndarray:
+    return problem.u0.coeffs.ravel()[None, :] * forward
 
 
 def _duhamel_integral(
-    U: np.ndarray, problem: NlsProblem, times: np.ndarray, n_grid: int
+    U: np.ndarray, problem: NlsProblem, times: np.ndarray, n_grid: int, back: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Cumulative trapezoid of e^{-i s Delta} F(u(s)) over the trajectory nodes,
     and the largest truncated energy of the nonlinearity's round trips."""
     M = problem.u0.box_radius
-    sym = _dispersion_symbol(problem.geometry, M).ravel()
     F, trunc = _nonlinearity_rows(U, problem.geometry, M, problem.sign, problem.coupling, n_grid)
-    G = F * np.exp(2j * np.pi * np.outer(times, sym))
+    # a temporary operand, like an inline np.exp(...): numpy's temporary elision
+    # then multiplies in the same operand order, and that order fixes the last bit
+    G = F * back.copy()
     dt = times[1] - times[0]
     I = np.zeros_like(G)
     I[1:] = np.cumsum(0.5 * dt * (G[1:] + G[:-1]), axis=0)
@@ -248,13 +265,12 @@ def _duhamel_integral(
 
 
 def _duhamel_matrix(
-    U: np.ndarray, problem: NlsProblem, times: np.ndarray, n_grid: int
+    U: np.ndarray, problem: NlsProblem, times: np.ndarray, n_grid: int,
+    phases: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, float]:
-    sym = _dispersion_symbol(problem.geometry, problem.u0.box_radius).ravel()
-    I, trunc = _duhamel_integral(U, problem, times, n_grid)
-    Phi = (problem.u0.coeffs.ravel()[None, :] - 1j * I) * np.exp(
-        -2j * np.pi * np.outer(times, sym)
-    )
+    forward, back = phases
+    I, trunc = _duhamel_integral(U, problem, times, n_grid, back)
+    Phi = (problem.u0.coeffs.ravel()[None, :] - 1j * I) * forward
     return Phi, trunc
 
 
@@ -274,7 +290,7 @@ def compute_diagnostics(traj: Trajectory, problem: NlsProblem, n_grid: int | Non
     n_grid = _grid_guard(n_grid, problem.d, M)
     strength = problem.sign * problem.coupling
     out = {k: np.empty(traj.times.size) for k in ("mass", "energy", "h1", "linf")}
-    chunk = 32  # as in _nonlinearity_rows: no larger transient than Picard holds
+    chunk = _batch_rows(problem.d, n_grid)
     for lo in range(0, len(traj.states), chunk):
         states = traj.states[lo : lo + chunk]
         grids = _synthesize(np.stack([s.coeffs.ravel() for s in states]), problem.d, M, n_grid)
@@ -289,7 +305,7 @@ def compute_diagnostics(traj: Trajectory, problem: NlsProblem, n_grid: int | Non
 def free_trajectory(problem: NlsProblem, T: float, n_t: int) -> Trajectory:
     """Free evolution sampled on n_t+1 uniform nodes of [0, T]; diagnostics included."""
     times = np.arange(n_t + 1) * (T / n_t)
-    U = _free_matrix(problem, times)
+    U = _free_matrix(problem, _flow_phases(problem, times)[0])
     return _wrap_trajectory(problem, times, U, {"solver": "free"}, problem.grid_size)
 
 
@@ -308,7 +324,7 @@ def duhamel_apply(
     _check_dt(times[1] - times[0], problem.geometry, M)
     n_grid = _grid_guard(n_grid, problem.d, M)
     U = u_traj.coeff_matrix()
-    Phi, _ = _duhamel_matrix(U, problem, times, n_grid)
+    Phi, _ = _duhamel_matrix(U, problem, times, n_grid, _flow_phases(problem, times))
     return _wrap_trajectory(problem, times, Phi, {"solver": "duhamel"}, n_grid)
 
 
@@ -337,12 +353,13 @@ def picard_solve(
     weights = _h1_weights(problem.geometry, M)
     p_log = 4.0 if problem.d == 3 else 10.0 / 3.0
 
-    U = _free_matrix(problem, times)
+    phases = _flow_phases(problem, times)
+    U = _free_matrix(problem, phases[0])
     log: list[dict] = []
     prev_diff = None
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        V, trunc = _duhamel_matrix(U, problem, times, n_grid)
+        V, trunc = _duhamel_matrix(U, problem, times, n_grid, phases)
         diff = V - U
         d_h1 = _sup_h1(diff, weights)
         d_lp = _trajectory_lp(diff, problem, p_log)
@@ -377,6 +394,14 @@ def _trajectory_lp(U: np.ndarray, problem: NlsProblem, p: float) -> float:
     return spacetime_lp_norm(vals, p, p)
 
 
+def _unit_phase(angle: np.ndarray) -> np.ndarray:
+    """e^{i angle} for a real angle, from its cosine and sine (no complex exp)."""
+    out = np.empty(angle.shape, dtype=np.complex128)
+    out.real = np.cos(angle)
+    out.imag = np.sin(angle)
+    return out
+
+
 def split_step_evolve(
     problem: NlsProblem,
     T: float,
@@ -409,7 +434,7 @@ def split_step_evolve(
         if problem.coupling == 0.0:
             return row  # phase rotation is identically 1; skip the grid round trip
         vals = _synthesize(row[None, :], d, M, n_grid)
-        vals = vals * np.exp(rot * _modulus_power(vals, expo))
+        vals = vals * _unit_phase(rot.imag * _modulus_power(vals, expo))
         rows, trunc = _grid_to_rows(vals, d, M, n_grid)
         max_trunc = max(max_trunc, float(trunc[0]))
         return rows[0]
@@ -475,16 +500,17 @@ def contraction_factor(
     times = np.arange(n_t + 1) * (T / n_t)
     weights = _h1_weights(problem.geometry, M)
 
-    U = _free_matrix(problem, times)
+    forward, back = _flow_phases(problem, times)
+    U = _free_matrix(problem, forward)
     k1 = (1,) + (0,) * (problem.d - 1)
     w0 = FrequencyField.character(problem.geometry, M, k1, amplitude=1.0)
     wprob = NlsProblem(problem.geometry, problem.sign, w0, coupling=problem.coupling)
-    W = _free_matrix(wprob, times)
+    W = _free_matrix(wprob, forward)  # same geometry and box, so the same flow
     delta = perturb * sobolev_norm(problem.u0, 1)
     V = U + delta * W
 
-    I_u, _ = _duhamel_integral(U, problem, times, n_grid)
-    I_v, _ = _duhamel_integral(V, problem, times, n_grid)
+    I_u, _ = _duhamel_integral(U, problem, times, n_grid, back)
+    I_v, _ = _duhamel_integral(V, problem, times, n_grid, back)
     # Phi(v)-Phi(u) = e^{it Delta}(-i)(I_v - I_u); the phases preserve H1.
     num = _sup_h1(I_v - I_u, weights)
     den = _sup_h1(V - U, weights)

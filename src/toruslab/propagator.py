@@ -109,7 +109,9 @@ def kernel_axis_max_abs(
 
     The symbol bump(k/N) e^{-2 pi i t theta k^2} is even in k bit for bit, so
     the phases are computed for k = 0..2N only, in place in one FFT buffer, and
-    mirrored onto the slots of k = -2N..-1; the gap between stays zero.
+    mirrored onto the slots of k = -2N..-1; the gap between is zeroed.  The
+    buffer is transformed in place and, with the modulus buffer, allocated
+    once per call.
     """
     if n_x < 4 * N + 1:
         raise GridTooCoarseError(f"need n_x >= {4 * N + 1} to hold the symbol, got {n_x}")
@@ -117,7 +119,8 @@ def kernel_axis_max_abs(
     k, w = k[2 * N :], w[2 * N :]
     sym = theta * k * k
     out = np.empty(ts.size)
-    buf = np.zeros((min(chunk, ts.size), n_x), dtype=np.complex128)
+    buf = np.empty((min(chunk, ts.size), n_x), dtype=np.complex128)
+    mod = np.empty(buf.shape)
     for lo in range(0, ts.size, chunk):
         tslice = ts[lo : lo + chunk]
         rows = buf[: tslice.size]
@@ -126,9 +129,12 @@ def kernel_axis_max_abs(
         head *= -2j * np.pi
         np.exp(head, out=head)
         head *= w
+        rows[:, 2 * N + 1 : n_x - 2 * N] = 0.0
         rows[:, n_x - 2 * N :] = rows[:, 2 * N : 0 : -1]
-        vals = _fft.ifft(rows, axis=1) * n_x
-        out[lo : lo + chunk] = np.max(np.abs(vals), axis=1)
+        vals = _fft.ifft(rows, axis=1, overwrite_x=True)
+        vals *= n_x
+        np.abs(vals, out=mod[: tslice.size])
+        np.max(mod[: tslice.size], axis=1, out=out[lo : lo + chunk])
     return out
 
 

@@ -1,20 +1,30 @@
 """Space-time norms of free evolutions, scaling sweeps, and bilinear products.
 
-Norms are mixed-power means over [0, horizon) x torus: spatially the uniform
-grid quadrature is spectrally accurate for resolved bands, temporally a
-left-endpoint rule is used; the time grid resolves the fastest quadratic phase
-(16 samples per period) so refocusing spikes carry their correct share of the
-integral.  Norm evaluations stream over time chunks and never materialize the
-full space-time array.
+Norms are mixed-power means over [0, horizon) x torus, on uniform grids: a
+left-endpoint rule in time and the grid mean in space.  One rule picks the
+grid sizes (_quadrature_sizes).  For p = 2m, |u|^p is a trigonometric
+polynomial whose spatial band is at most 2mB per axis, B the largest |k_j| in
+the support; when every theta_j is an integer u is 1-periodic in t and the
+temporal band is at most mS, S the spread of sum_j theta_j k_j^2 over the
+support.  So n_x = next_fast_len(2mB+1) and n_t = mS+1 give the norm exactly
+on [0, 1) (a bilinear product adds the factors' bands and spreads).  In every
+other case (odd or fractional p, a non-integer weight, a horizon other than
+1, or exact sizes costing more cells than the resolution rule) the sizes
+resolve the fastest quadratic phase with 16 time samples per period, with
+n_x = 8N in d = 1 and 4N otherwise (max(64, 2N1) for bilinear products), and
+the value is an approximation.  Each choice reports whether it is exact.
+Norm evaluations stream over time chunks and never materialize the full
+space-time array.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .core import (
     FrequencyField,
@@ -98,15 +108,67 @@ def evolved_lp_norm(
     return (acc / n_t) ** (1.0 / p)
 
 
-def default_spatial_samples(N: int, d: int) -> int:
-    return 8 * N if d == 1 else 4 * N
-
-
-def _effective_band(f: FrequencyField) -> int:
-    nz = np.argwhere(np.abs(f.coeffs) > 0)
+def _field_extent(f: FrequencyField) -> tuple[int, float]:
+    """Band (largest |k_j|) and spread of sum_j theta_j k_j^2 over the support of f."""
+    nz = np.argwhere(f.coeffs != 0) - f.box_radius
     if nz.size == 0:
-        return 0
-    return int(np.max(np.abs(nz - f.box_radius)))
+        return 0, 0.0
+    sym = (nz.astype(float) ** 2) @ np.asarray(f.geometry.theta)
+    return int(np.max(np.abs(nz))), float(sym.max() - sym.min())
+
+
+def _axes_extent(axes: list[np.ndarray], geometry: TorusGeometry) -> tuple[int, float]:
+    """_field_extent of the tensor product of per-axis coefficient vectors."""
+    band, spread = 0, 0.0
+    for vec, theta in zip(axes, geometry.theta):
+        k = np.flatnonzero(vec) - (vec.size - 1) // 2
+        band = max(band, int(np.max(np.abs(k))))
+        spread += theta * float(np.max(k * k) - np.min(k * k))
+    return band, spread
+
+
+def _quadrature_sizes(
+    extents: list[tuple[int, float]],
+    p: float,
+    N: int,
+    geometry: TorusGeometry,
+    horizon: float = 1.0,
+    n_t: int | None = None,
+    n_x: int | None = None,
+) -> tuple[int, int, bool]:
+    """(n_t, n_x, exact) for the L^p_{t,x} norm of a product of free evolutions.
+
+    extents holds each factor's (band, spread): one factor for a norm, two for
+    a bilinear product (p = 2).  Band-exact sizes are used when p is even,
+    every theta_j is an integer, the horizon is 1 and they need no more cells
+    than the resolution rule at scale N (see the module docstring), which is
+    used otherwise.  Explicit sizes win; exact says whether the sizes used
+    integrate the trigonometric polynomial |u|^p exactly.
+    """
+    d = geometry.d
+    band = sum(b for b, _ in extents)
+    spread = sum(s for _, s in extents)
+    resolvable = (
+        float(p).is_integer()
+        and int(p) % 2 == 0
+        and all(float(th).is_integer() for th in geometry.theta)
+        and horizon == 1.0
+    )
+    m = int(p) // 2 if resolvable else 0
+    need_t, need_x = m * int(round(spread)) + 1, 2 * m * band + 1
+    tight_t, tight_x = need_t, next_fast_len(need_x)
+    if len(extents) == 1:
+        loose_t, loose_x = time_sample_count(N, geometry), 8 * N if d == 1 else 4 * N
+    else:
+        loose_t = max(int(math.ceil(time_sample_count(N, geometry) * horizon)), 64)
+        loose_x = max(64, 2 * N)
+    if resolvable and tight_t * tight_x**d <= loose_t * loose_x**d:
+        default_t, default_x = tight_t, tight_x
+    else:
+        default_t, default_x = loose_t, loose_x
+    n_t = default_t if n_t is None else int(n_t)
+    n_x = default_x if n_x is None else int(n_x)
+    return n_t, n_x, bool(resolvable and n_t >= need_t and n_x >= need_x)
 
 
 def critical_exponent(d: int) -> float:
@@ -133,15 +195,14 @@ def strichartz_ratio(
     l2 = sobolev_norm(f, 0)
     if l2 == 0.0:
         raise ValueError("data must be nonzero")
-    if _effective_band(f) <= N:
+    if _field_extent(f)[0] <= N:
         cut = f  # multiplier is identically 1 on the core box
     else:
         cut = project(with_box_radius(f, max(f.box_radius, 2 * N)), N, "leq")
-    if n_t is None:
-        n_t = time_sample_count(N, geometry)
-    if n_x is None:
-        n_x = default_spatial_samples(N, d)
-    n_x = max(n_x, 2 * _effective_band(cut) + 2)
+    extent = _field_extent(cut)
+    if n_x is not None:
+        n_x = max(n_x, 2 * extent[0] + 2)
+    n_t, n_x, _ = _quadrature_sizes([extent], p, N, geometry, n_t=n_t, n_x=n_x)
     norm = evolved_lp_norm(cut, p, p, n_t, n_x)
     return norm / (float(N) ** (d / 2.0 - (d + 2.0) / p) * l2)
 
@@ -179,6 +240,8 @@ class ScalingFit:
     intercept: float
     max_residual: float
     theoretical_exponent: float
+    #: The (n_t, n_x, exact) quadrature of each N, as {"N", "n_t", "n_x", "exact"}.
+    quadrature: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         if not all(b > a for a, b in zip(self.N_list, self.N_list[1:])):
@@ -222,15 +285,16 @@ def exponent_sweep(
     if len(N_list) < 4:
         raise ValueError("need at least 4 values of N for a slope fit")
 
-    def one(N: int) -> float:
+    def one(N: int) -> tuple[float, dict]:
         f = sweep_data(data_class, N, geometry, seed=seed)
-        nt = n_t if n_t is not None else time_sample_count(N, geometry)
-        nx = n_x if n_x is not None else default_spatial_samples(N, geometry.d)
-        return evolved_lp_norm(f, p, p, nt, nx)
+        nt, nx, exact = _quadrature_sizes([_field_extent(f)], p, N, geometry, n_t=n_t, n_x=n_x)
+        return evolved_lp_norm(f, p, p, nt, nx), {"N": N, "n_t": nt, "n_x": nx, "exact": exact}
 
-    norms = _ordered_map(one, N_list, threads=threads)
+    norms, quadrature = zip(*_ordered_map(one, N_list, threads=threads))
     d = geometry.d
-    return fit_scaling(N_list, norms, p, d / 2.0 - (d + 2.0) / p)
+    fit = fit_scaling(N_list, norms, p, d / 2.0 - (d + 2.0) / p)
+    fit.quadrature = list(quadrature)
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +339,8 @@ def bilinear_ratio(
         raise ValueError("geometry mismatch")
     if not _band_support_ok(f, N1) or not _band_support_ok(h, N2):
         raise ValueError("band-projection mismatch: data must live on its dyadic band")
-    if n_x is None:
-        n_x = max(64, 2 * N1)
-    if n_t is None:
-        n_t = max(int(math.ceil(time_sample_count(N1, geometry) * horizon)), 64)
+    extents = [_field_extent(f), _field_extent(h)]
+    n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
     ts = np.arange(n_t) * (horizon / n_t)
     acc = 0.0
     gen_f = iter_evolved_grids(f, ts, n_x)
@@ -347,10 +409,8 @@ def bilinear_ratio_tensor(
     d = geometry.d
     if d < 3:
         raise ValueError("bilinear check requires d >= 3")
-    if n_x is None:
-        n_x = max(64, 2 * N1)
-    if n_t is None:
-        n_t = max(int(math.ceil(time_sample_count(N1, geometry) * horizon)), 64)
+    extents = [_axes_extent(axes_f, geometry), _axes_extent(axes_h, geometry)]
+    n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
     ts = np.arange(n_t) * (horizon / n_t)
 
     def axis_slices(vec: np.ndarray, theta: float, tchunk: np.ndarray) -> np.ndarray:
@@ -381,7 +441,10 @@ def bilinear_table(
     n_t: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Ratio table over dyadic pairs N2 <= N1 and time horizons (tensor fast path)."""
+    """Ratio table over dyadic pairs N2 <= N1 and time horizons (tensor fast path).
+
+    Each record carries the quadrature it used: n_t, n_x and exact.
+    """
     rng = np.random.default_rng(seed)
     records = []
     for N1 in N1_list:
@@ -390,11 +453,14 @@ def bilinear_table(
         for N2 in n2_values:
             axes_f = [band_axis_coeffs(data, N1, rng) for _ in range(geometry.d)]
             axes_h = [band_axis_coeffs(data, N2, rng) for _ in range(geometry.d)]
+            extents = [_axes_extent(axes_f, geometry), _axes_extent(axes_h, geometry)]
             for horizon in horizons:
+                nt, nx, exact = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
                 ratio = bilinear_ratio_tensor(
-                    axes_f, N1, axes_h, N2, geometry, horizon=horizon, n_t=n_t, n_x=n_x
+                    axes_f, N1, axes_h, N2, geometry, horizon=horizon, n_t=nt, n_x=nx
                 )
                 records.append(
-                    {"N1": int(N1), "N2": int(N2), "T": float(horizon), "ratio": float(ratio)}
+                    {"N1": int(N1), "N2": int(N2), "T": float(horizon), "ratio": float(ratio),
+                     "n_t": nt, "n_x": nx, "exact": exact}
                 )
     return records

@@ -98,8 +98,12 @@ class TestSweepCommands:
             "--N", "8,16,32,64", "--n-t", "512", "--n-x", "64", "--out-dir", str(tmp_path),
         ])
         assert result.exit_code == 0
-        fit = json.loads((tmp_path / "strichartz_fit.json").read_text())["fit"]
-        assert abs(fit["slope"]) <= 1e-9
+        payload = json.loads((tmp_path / "strichartz_fit.json").read_text())
+        assert abs(payload["fit"]["slope"]) <= 1e-9
+        # explicit sizes win; a single mode is integrated exactly on any grid
+        assert payload["quadrature"] == [
+            {"N": N, "n_t": 512, "n_x": 64, "exact": True} for N in (8, 16, 32, 64)
+        ]
         rows = (tmp_path / "strichartz_sweep.csv").read_text().splitlines()
         assert rows[0].startswith("# ")
         assert rows[1] == "class,d,p,N,norm,ratio"
@@ -139,6 +143,14 @@ class TestSweepCommands:
         assert result.exit_code == 0
         rows = (tmp_path / "bilinear_table.csv").read_text().splitlines()
         assert rows[1] == "N1,N2,T,ratio"
+        quad = json.loads((tmp_path / "bilinear_summary.json").read_text())["quadrature"]
+        assert [(q["N1"], q["N2"], q["T"]) for q in quad] == [
+            (int(a), int(b), float(t)) for a, b, t, _ in (r.split(",") for r in rows[2:])
+        ]
+        assert all((q["n_t"], q["n_x"]) == (256, 16) for q in quad)
+        # T < 1 is never exact; at T = 1, N1 = N2 = 4 needs n_x >= 2 * (4 + 4) + 1
+        assert [q["exact"] for q in quad] == [True, False, True, False, True, False,
+                                              True, False, False, False]
 
 
 class TestNlsRun:
@@ -169,8 +181,8 @@ class TestNlsRun:
 
     @pytest.mark.parametrize("solver", ["picard", "splitstep"])
     @pytest.mark.parametrize("dim, box", [("3", "4"), ("4", "2")])
-    def test_threads_do_not_change_output(self, runner, tmp_path, monkeypatch, solver, dim, box):
-        monkeypatch.setattr(_fft, "_WORKERS", _fft._WORKERS)  # restored after the test
+    def test_threads_do_not_change_output(self, runner, tmp_path, solver, dim, box):
+        workers = _fft._WORKERS
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
@@ -180,6 +192,7 @@ class TestNlsRun:
                 "--threads", threads, "--out-dir", str(out),
             ])
             assert result.exit_code == 0
+            assert _fft._WORKERS == workers  # the count is scoped to the command
             outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(outs[0]) == 7  # diagnostics, summary and 5 states
         assert json.loads(outs[0]["nls_summary.json"])["max_truncated_energy"] > 0
@@ -212,6 +225,8 @@ class TestUsageErrors:
             ["nls-run", "--T", "0", "--dt", "1e-3"],
             ["nls-run", "--T", "0.01", "--dt", "0"],
             ["nls-run", "--T", "0.01", "--dt", "-1e-3"],
+            ["nls-run", "--N", "0"],
+            ["nls-run", "--N", "-2"],
         ],
     )
     def test_bad_input_exits_2(self, runner, tmp_path, argv):

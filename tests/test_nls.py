@@ -8,6 +8,7 @@ from toruslab.core import FrequencyField, TorusGeometry, _dispersion_symbol, sob
 from toruslab.errors import GridTooCoarseError, NonContractionError
 from toruslab.nls import (
     NlsProblem,
+    _batch_rows,
     Trajectory,
     conservation_report,
     contraction_factor,
@@ -389,8 +390,8 @@ class TestDiagnostics:
         # 41 states: more than one chunk of synthesized grids
         prob = random_problem(d, 2, 0.1, seed=50 + d, sign=-1)
         traj = split_step_evolve(prob, 0.04, 1e-3)
-        assert len(traj.states) > 32
         n = prob.grid_size
+        assert len(traj.states) > _batch_rows(d, n)
         for i, state in enumerate(traj.states):
             vals = _synthesize(state.coeffs.reshape(1, -1), d, 2, n)[0]
             assert traj.diagnostics["mass"][i] == mass(state)

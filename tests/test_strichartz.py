@@ -1,14 +1,21 @@
 """Mixed space-time norms, scaling sweeps, and bilinear product ratios."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
-from toruslab.propagator import SpaceTimeGrid, sample_spacetime
+from toruslab.propagator import SpaceTimeGrid, sample_spacetime, time_sample_count
 from toruslab.strichartz import (
+    _axes_extent,
+    _field_extent,
+    _quadrature_sizes,
     band_axis_coeffs,
     bilinear_ratio,
     bilinear_ratio_tensor,
+    bilinear_table,
     evolved_lp_norm,
     exponent_sweep,
     fit_scaling,
@@ -125,6 +132,133 @@ class TestExponentSweep:
     def test_fit_validation(self):
         with pytest.raises(ValueError):
             fit_scaling([8, 4, 16, 32], [1, 1, 1, 1], 8.0, 0.1)
+
+
+def _resonant_l6(c: np.ndarray) -> float:
+    """||u||_{L^6_{t,x}}^6 on the square 1-torus by brute force over 6-tuples.
+
+    Only resonant tuples survive the space-time mean: k1+k2+k3 = k4+k5+k6 and
+    k1^2+k2^2+k3^2 = k4^2+k5^2+k6^2.
+    """
+    N = (c.size - 1) // 2
+    triples = list(itertools.product(range(-N, N + 1), repeat=3))
+    lin = np.array([sum(t) for t in triples])
+    quad = np.array([sum(k * k for k in t) for t in triples])
+    amp = np.array([c[t[0] + N] * c[t[1] + N] * c[t[2] + N] for t in triples])
+    resonant = (lin[:, None] == lin[None, :]) & (quad[:, None] == quad[None, :])
+    terms = (amp[:, None] * np.conj(amp)[None, :])[resonant]
+    return math.fsum(terms.real)
+
+
+def _resolution_rule_cells(N: int, geometry: TorusGeometry) -> int:
+    """Cells of the resolution rule: 16 samples per fastest period, n_x = 8N or 4N."""
+    n_x = 8 * N if geometry.d == 1 else 4 * N
+    return time_sample_count(N, geometry) * n_x**geometry.d
+
+
+class TestQuadratureSizes:
+    def test_l4_lattice_identity_d1(self):
+        # ||u||_{L^4_{t,x}}^4 = 2||c||_2^4 - ||c||_4^4 on the square 1-torus
+        g = TorusGeometry.square(1)
+        fit = exponent_sweep("random_gaussian", 4.0, [4, 8, 16, 32], g, seed=11)
+        assert all(q["exact"] for q in fit.quadrature)
+        for N, norm in zip(fit.N_list, fit.norms):
+            c = sweep_data("random_gaussian", N, g, seed=11).coeffs
+            exact = 2.0 * np.sum(np.abs(c) ** 2) ** 2 - np.sum(np.abs(c) ** 4)
+            assert norm**4 == pytest.approx(exact, rel=1e-13)
+
+    def test_l6_resonant_tuples_d1(self):
+        g = TorusGeometry.square(1)
+        for N in (1, 2, 4):
+            f = sweep_data("random_gaussian", N, g, seed=3)
+            n_t, n_x, exact = _quadrature_sizes([_field_extent(f)], 6, N, g)
+            assert exact and n_t == 3 * N * N + 1 and n_x >= 6 * N + 1
+            value = evolved_lp_norm(f, 6, 6, n_t, n_x) ** 6
+            assert value == pytest.approx(_resonant_l6(f.coeffs), rel=1e-13)
+
+    def test_d2_flat_p6_matches_finer_grid(self):
+        # the resolution rule's n_x = 4N aliases |u|^6 here: 2.3% high at N=4
+        g = TorusGeometry.square(2)
+        fit = exponent_sweep("flat", 6.0, [1, 2, 4, 8], g)
+        for N, norm, q in zip(fit.N_list, fit.norms, fit.quadrature):
+            if N < 4:
+                continue
+            assert q["exact"]
+            fine = evolved_lp_norm(sweep_data("flat", N, g), 6, 6, 4 * q["n_t"], 4 * q["n_x"])
+            assert norm == pytest.approx(fine, rel=1e-13)
+
+    def test_bilinear_default_matches_finer_grid(self):
+        g = TorusGeometry.square(3)
+        rng = np.random.default_rng(4)
+        axes_f = [band_axis_coeffs("random", 8, rng) for _ in range(3)]
+        axes_h = [band_axis_coeffs("random", 4, rng) for _ in range(3)]
+        extents = [_axes_extent(axes_f, g), _axes_extent(axes_h, g)]
+        n_t, n_x, exact = _quadrature_sizes(extents, 2, 8, g)
+        assert exact and n_x >= 2 * (8 + 4) + 1
+        ratio = bilinear_ratio_tensor(axes_f, 8, axes_h, 4, g)
+        fine = bilinear_ratio_tensor(axes_f, 8, axes_h, 4, g, n_t=4 * n_t, n_x=4 * n_x)
+        assert ratio == pytest.approx(fine, rel=1e-13)
+
+    def test_inexact_cases_flagged(self):
+        f1 = sweep_data("flat", 8, TorusGeometry.square(1))
+        irrational = TorusGeometry(1, (IRRATIONAL,))
+        f_irr = sweep_data("flat", 8, irrational)
+        assert _quadrature_sizes([_field_extent(f1)], 8, 8, TorusGeometry.square(1))[2]
+        assert not _quadrature_sizes([_field_extent(f_irr)], 8, 8, irrational)[2]
+        for p in (5.0, 7.0, 6.5, np.inf, 64.0):
+            assert not _quadrature_sizes([_field_extent(f1)], p, 8, TorusGeometry.square(1))[2]
+        g3 = TorusGeometry.square(3)
+        axes = [band_axis_coeffs("flat", 4) for _ in range(3)]
+        extents = [_axes_extent(axes, g3)] * 2
+        assert _quadrature_sizes(extents, 2, 4, g3, horizon=1.0)[2]
+        for T in (0.25, 0.999):
+            assert not _quadrature_sizes(extents, 2, 4, g3, horizon=T)[2]
+
+    def test_p64_keeps_resolution_rule(self):
+        g = TorusGeometry.square(1)
+        f = sweep_data("flat", 8, g)
+        assert _quadrature_sizes([_field_extent(f)], 64, 8, g) == (
+            time_sample_count(8, g), 64, False
+        )
+
+    def test_explicit_sizes_win_and_are_judged(self):
+        g = TorusGeometry.square(1)
+        f = sweep_data("flat", 8, g)  # p = 8: band 8N = 64 per axis, spread 4N^2 = 256 in t
+        ext = [_field_extent(f)]
+        assert _quadrature_sizes(ext, 8, 8, g, n_t=257, n_x=65) == (257, 65, True)
+        assert _quadrature_sizes(ext, 8, 8, g, n_t=256, n_x=65) == (256, 65, False)
+        assert _quadrature_sizes(ext, 8, 8, g, n_t=257, n_x=64) == (257, 64, False)
+        assert _quadrature_sizes(ext, 8, 8, g, n_x=64)[1:] == (64, False)
+
+    def test_never_more_cells_than_resolution_rule(self):
+        for d in (1, 2, 3):
+            for theta in ((1.0,) * d, (IRRATIONAL,) * d):
+                g = TorusGeometry(d, theta)
+                for N in (1, 2, 4, 8, 16):
+                    for cls in ("character", "flat", "random_gaussian"):
+                        ext = [_field_extent(sweep_data(cls, N, g, seed=1))]
+                        for p in (4.0, 6.0, 8.0, 10.0, 64.0, 5.0, 6.5):
+                            n_t, n_x, _ = _quadrature_sizes(ext, p, N, g)
+                            assert n_t * n_x**d <= _resolution_rule_cells(N, g), (d, N, cls, p)
+        g3 = TorusGeometry.square(3)
+        for N1 in (1, 2, 4, 8, 16, 32):
+            for N2 in (n for n in (1, 2, 4, 8, 16, 32) if n <= N1):
+                extents = [
+                    _axes_extent([band_axis_coeffs("flat", N1)] * 3, g3),
+                    _axes_extent([band_axis_coeffs("flat", N2)] * 3, g3),
+                ]
+                for T in (1.0, 0.25):
+                    n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, g3, horizon=T)
+                    loose_t = max(math.ceil(time_sample_count(N1, g3) * T), 64)
+                    assert n_t * n_x**3 <= loose_t * max(64, 2 * N1) ** 3
+
+    def test_bilinear_table_records_quadrature(self):
+        g = TorusGeometry.square(3)
+        records = bilinear_table([4], (1.0, 0.5), g, data="character")
+        for r in records:
+            assert r["exact"] == (r["T"] == 1.0)
+            if r["exact"]:
+                assert r["n_t"] == 1 and r["n_x"] >= 2 * (4 + r["N2"]) + 1
 
 
 class TestGalileiCovariance:
