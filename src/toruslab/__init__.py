@@ -23,11 +23,9 @@ from .core import (
 )
 from .propagator import (
     KernelEvaluation,
-    SpaceTimeGrid,
     free_evolve,
     kernel_direct,
     kernel_grid,
-    sample_spacetime,
 )
 from .arithmetic import (
     MajorArcParams,

@@ -28,20 +28,14 @@ from .arithmetic import (
     f2_hat,
     in_major_arc,
 )
-from .dispersive import dispersive_suite
-from .errors import BoxTooSmallError, BudgetExceededError, GridTooCoarseError
+from .dispersive import check_dispersive
+from .errors import BoxTooSmallError, BudgetExceededError, GridTooCoarseError, NonContractionError
 from .io import write_field
-from .nls import (
-    DEALIAS_FACTOR,
-    NlsProblem,
-    conservation_report,
-    picard_solve,
-    split_step_evolve,
-)
+from .nls import NlsProblem, conservation_report, grid_size, picard_solve, split_step_evolve
 from .propagator import kernel_direct, kernel_grid
 from .strichartz import bilinear_table, exponent_sweep
 
-GUARD_ERRORS = (BudgetExceededError, GridTooCoarseError, BoxTooSmallError)
+GUARD_ERRORS = (BudgetExceededError, GridTooCoarseError, BoxTooSmallError, NonContractionError)
 
 
 def _fmt(x) -> str:
@@ -197,7 +191,7 @@ def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, threads, dump_grid, o
         "N": n_list, "sigma": sigma, "n_t": n_t, "n_x": n_x,
     }
     try:
-        reports = dispersive_suite(n_list, g, sigma=sigma, n_t=n_t, n_x=n_x)
+        reports = [check_dispersive(N, g, sigma=sigma, n_t=n_t, n_x=n_x) for N in n_list]
     except GUARD_ERRORS as exc:
         _guard_abort(out_dir, config, None, exc)
         return
@@ -358,7 +352,7 @@ def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fi
     try:
         # live cells: stored trajectory plus one transient dealiasing grid
         n_states = int(round(horizon / dt)) + 1
-        cells = n_states * (2 * box + 1) ** d + (DEALIAS_FACTOR[d] * box) ** d
+        cells = n_states * (2 * box + 1) ** d + grid_size(d, box) ** d
         if cells > budget:
             raise BudgetExceededError(f"{cells} trajectory cells exceed budget {budget}")
         u0 = _parse_data_spec(data_spec, g, box, seed)

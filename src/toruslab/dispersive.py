@@ -108,21 +108,12 @@ def refocusing_times(N: int, geometry: TorusGeometry, depth: int = SWEEP_FAREY_D
     return np.unique(np.asarray(pts))
 
 
-def sweep_time_grid(
-    N: int,
-    geometry: TorusGeometry,
-    n_t: int | None = None,
-    cap: int = SWEEP_TIME_CAP,
-    extra: np.ndarray | None = None,
-) -> np.ndarray:
-    """Uniform left-endpoint grid densified with refocusing times (and extras)."""
+def sweep_time_grid(N: int, geometry: TorusGeometry, n_t: int | None = None) -> np.ndarray:
+    """Uniform left-endpoint grid densified with refocusing times."""
     if n_t is None:
-        n_t = time_sample_count(N, geometry, cap=cap)
+        n_t = time_sample_count(N, geometry, cap=SWEEP_TIME_CAP)
     base = np.arange(n_t + 1) / n_t
-    parts = [base, refocusing_times(N, geometry)]
-    if extra is not None:
-        parts.append(np.asarray(extra, dtype=float))
-    return np.unique(np.concatenate(parts))
+    return np.unique(np.concatenate([base, refocusing_times(N, geometry)]))
 
 
 def _kernel_max_abs_product(
@@ -189,12 +180,11 @@ def check_diff_bound(
 ) -> DiffBoundResult:
     """sup over off-arc grid times of max_x |K(t, x)| / N^(d(1-sigma))."""
     require_dyadic(N)
-    if not 0.0 < sigma < 0.5:
-        raise ValueError(f"sigma must lie in (0, 1/2), got {sigma}")
     if n_x is None:
         n_x = 8 * N
     params = MajorArcParams(sigma=sigma, N=N)
-    ts = sweep_time_grid(N, geometry, n_t=n_t, extra=farey_midpoint_times(N, sigma, geometry))
+    base = sweep_time_grid(N, geometry, n_t=n_t)
+    ts = np.union1d(base, farey_midpoint_times(N, sigma, geometry))
     off = ~major_arc_mask(ts, params, geometry)
     frac = float(np.count_nonzero(off)) / ts.size
     ts_off = ts[off]
@@ -306,16 +296,13 @@ def dispersive_rhs(
 class BilinearFormCheckParams:
     """Exponent recipe for the restricted-weak-type form check.
 
-    alpha = (4 - r0) / (2 (r0 - 2)), delta = 1/alpha, tau = delta; r0 must
-    exceed 2/(1 - sigma) when sigma is supplied.
+    alpha = (4 - r0) / (2 (r0 - 2)) and delta = 1/alpha follow from r0; r0
+    must exceed 2/(1 - sigma) when sigma is supplied.
     """
 
     r0: float
     Q: int
     T_scale: float
-    delta: float
-    alpha: float
-    tau: float
     sigma: float | None = None
 
     def __post_init__(self):
@@ -324,18 +311,16 @@ class BilinearFormCheckParams:
         require_dyadic(self.Q, "Q")
         if self.T_scale <= 0:
             raise ValueError("T_scale must be positive")
-        alpha = (4.0 - self.r0) / (2.0 * (self.r0 - 2.0))
-        if abs(self.alpha - alpha) > 1e-12 or abs(self.delta - 1.0 / alpha) > 1e-12:
-            raise ValueError("alpha/delta inconsistent with the exponent recipe")
-        if abs(self.tau - self.delta) > 1e-12:
-            raise ValueError("tau must equal delta")
         if self.sigma is not None and self.r0 < 2.0 / (1.0 - self.sigma) - 1e-12:
             raise ValueError(f"need r0 >= 2/(1-sigma) = {2.0 / (1.0 - self.sigma)}")
 
-    @classmethod
-    def from_exponent(cls, r0: float, Q: int, T_scale: float, sigma: float | None = None):
-        alpha = (4.0 - r0) / (2.0 * (r0 - 2.0))
-        return cls(r0=r0, Q=Q, T_scale=T_scale, delta=1.0 / alpha, alpha=alpha, tau=1.0 / alpha, sigma=sigma)
+    @property
+    def alpha(self) -> float:
+        return (4.0 - self.r0) / (2.0 * (self.r0 - 2.0))
+
+    @property
+    def delta(self) -> float:
+        return 1.0 / self.alpha
 
 
 def _indicator(arcs, n: int) -> np.ndarray:
@@ -420,7 +405,7 @@ def run_bilinear_draws(
         levels = max(int(math.floor(math.log2(max(t_hi / t_lo, 1.0)))), 0)
         T = t_lo * 2.0 ** int(rng.integers(0, levels + 1))
         n_quad = 1 << max(int(math.ceil(math.log2(32.0 / T))), 6)
-        params = BilinearFormCheckParams.from_exponent(r0=r0, Q=Q, T_scale=T, sigma=sigma)
+        params = BilinearFormCheckParams(r0=r0, Q=Q, T_scale=T, sigma=sigma)
         e_set = random_arc_union(rng, n_quad)
         f_set = random_arc_union(rng, n_quad)
         lhs, rhs = bilinear_form_check(e_set, f_set, params, n_quad, constant=constant)
@@ -429,14 +414,3 @@ def run_bilinear_draws(
              "ratio": lhs / rhs if rhs > 0 else float("inf")}
         )
     return records
-
-
-def dispersive_suite(
-    N_list,
-    geometry: TorusGeometry,
-    sigma: float = 0.1,
-    n_t: int | None = None,
-    n_x: int | None = None,
-) -> list[DispersiveReport]:
-    """check_dispersive for each N: one kernel sweep per level."""
-    return [check_dispersive(N, geometry, sigma=sigma, n_t=n_t, n_x=n_x) for N in N_list]

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Guard violations (grids or boxes too small, resource budgets exceeded) map to
-CLI exit code 1; plain usage errors map to exit code 2.
+Guard violations (grids or boxes too small, resource budgets exceeded, a
+fixed-point iteration that does not contract) map to CLI exit code 1; plain
+usage errors map to exit code 2.
 """
 
 

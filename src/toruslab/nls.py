@@ -10,7 +10,7 @@ DEALIAS_FACTOR[d] * M points per axis for box radius M: 6M for d = 3, 4M for
 d = 4.  That grid is one point short of alias-free: quintic products reach
 +-5M and 5M = -M (mod 6M), cubic products in d = 4 reach +-3M and
 3M = -M (mod 4M), so products of modes near the box edge alias back into the
-box.  This is an open defect (ROADMAP.md, item 3).
+box.  This is an open defect (ROADMAP.md, item 1).
 
 Each round trip synthesizes the box onto the grid one axis at a time
 (propagator._synthesize) and analyzes back with the mirror primitive
@@ -82,7 +82,7 @@ class NlsProblem:
 
     @property
     def grid_size(self) -> int:
-        return _grid_guard(None, self.d, self.u0.box_radius)
+        return grid_size(self.d, self.u0.box_radius)
 
 
 @dataclass
@@ -108,16 +108,9 @@ class Trajectory:
         return np.stack([s.coeffs.ravel() for s in self.states])
 
 
-def _grid_guard(n_grid: int | None, d: int, M: int) -> int:
-    """The pseudo-spectral grid size: DEALIAS_FACTOR[d] * M by default, never less."""
-    need = DEALIAS_FACTOR[d] * M
-    if n_grid is None:
-        return need
-    if n_grid < need:
-        raise GridTooCoarseError(
-            f"pseudo-spectral grid must be >= {need} per dimension for box radius {M}, got {n_grid}"
-        )
-    return n_grid
+def grid_size(d: int, M: int) -> int:
+    """Pseudo-spectral grid points per axis for box radius M: DEALIAS_FACTOR[d] * M."""
+    return DEALIAS_FACTOR[d] * M
 
 
 def _batch_rows(d: int, n_grid: int) -> int:
@@ -162,10 +155,9 @@ def _nonlinearity_rows(
 
 def nonlinearity(
     u: FrequencyField,
-    d: int | None = None,
+    *,
     sign: int = 1,
     coupling: float = 1.0,
-    n_grid: int | None = None,
     return_truncation: bool = False,
 ):
     """Pointwise power nonlinearity sign*|u|^(4/(d-2))*u, dealiased and re-boxed.
@@ -174,14 +166,12 @@ def nonlinearity(
     docstring for the aliasing this leaves); energy in discarded modes is
     returned on request.
     """
-    if d is None:
-        d = u.geometry.d
-    if d != u.geometry.d or d not in (3, 4):
-        raise ValueError(f"nonlinearity defined for d in {{3, 4}} matching the field, got {d}")
+    d = u.geometry.d
+    if d not in (3, 4):
+        raise ValueError(f"nonlinearity defined for d in {{3, 4}}, got {d}")
     M = u.box_radius
-    n_grid = _grid_guard(n_grid, d, M)
     rows, trunc = _nonlinearity_rows(
-        u.coeffs.ravel()[None, :], u.geometry, M, sign, coupling, n_grid
+        u.coeffs.ravel()[None, :], u.geometry, M, sign, coupling, grid_size(d, M)
     )
     out = u.with_coeffs(rows[0].reshape(u.coeffs.shape))
     if return_truncation:
@@ -198,7 +188,6 @@ def energy(
     u: FrequencyField,
     sign: int,
     coupling: float = 1.0,
-    n_grid: int | None = None,
 ) -> float:
     """(1/2) integral sum_j theta_j |d_j u|^2 +- ((d-2)/(2d)) integral |u|^(2d/(d-2)).
 
@@ -209,7 +198,7 @@ def energy(
     if d not in (3, 4):
         raise ValueError("energy defined for d in {3, 4}")
     M = u.box_radius
-    vals = _synthesize(u.coeffs.reshape(1, -1), d, M, _grid_guard(n_grid, d, M))[0]
+    vals = _synthesize(u.coeffs.reshape(1, -1), d, M, grid_size(d, M))[0]
     return _energy(u, vals, sign * coupling)
 
 
@@ -249,12 +238,14 @@ def _free_matrix(problem: NlsProblem, forward: np.ndarray) -> np.ndarray:
 
 
 def _duhamel_integral(
-    U: np.ndarray, problem: NlsProblem, times: np.ndarray, n_grid: int, back: np.ndarray
+    U: np.ndarray, problem: NlsProblem, times: np.ndarray, back: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Cumulative trapezoid of e^{-i s Delta} F(u(s)) over the trajectory nodes,
     and the largest truncated energy of the nonlinearity's round trips."""
     M = problem.u0.box_radius
-    F, trunc = _nonlinearity_rows(U, problem.geometry, M, problem.sign, problem.coupling, n_grid)
+    F, trunc = _nonlinearity_rows(
+        U, problem.geometry, M, problem.sign, problem.coupling, problem.grid_size
+    )
     # a temporary operand, like an inline np.exp(...): numpy's temporary elision
     # then multiplies in the same operand order, and that order fixes the last bit
     G = F * back.copy()
@@ -265,29 +256,28 @@ def _duhamel_integral(
 
 
 def _duhamel_matrix(
-    U: np.ndarray, problem: NlsProblem, times: np.ndarray, n_grid: int,
-    phases: tuple[np.ndarray, np.ndarray],
+    U: np.ndarray, problem: NlsProblem, times: np.ndarray, phases: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, float]:
     forward, back = phases
-    I, trunc = _duhamel_integral(U, problem, times, n_grid, back)
+    I, trunc = _duhamel_integral(U, problem, times, back)
     Phi = (problem.u0.coeffs.ravel()[None, :] - 1j * I) * forward
     return Phi, trunc
 
 
 def _wrap_trajectory(
-    problem: NlsProblem, times: np.ndarray, U: np.ndarray, info: dict, n_grid: int
+    problem: NlsProblem, times: np.ndarray, U: np.ndarray, info: dict
 ) -> Trajectory:
     shape = problem.u0.coeffs.shape
     states = [problem.u0.with_coeffs(row.reshape(shape)) for row in U]
     traj = Trajectory(times=times, states=states, info=info)
-    traj.diagnostics = compute_diagnostics(traj, problem, n_grid=n_grid)
+    traj.diagnostics = compute_diagnostics(traj, problem)
     return traj
 
 
-def compute_diagnostics(traj: Trajectory, problem: NlsProblem, n_grid: int | None = None) -> dict:
+def compute_diagnostics(traj: Trajectory, problem: NlsProblem) -> dict:
     """Mass, energy, H1 norm, and sup-norm per trajectory time."""
     M = problem.u0.box_radius
-    n_grid = _grid_guard(n_grid, problem.d, M)
+    n_grid = problem.grid_size
     strength = problem.sign * problem.coupling
     out = {k: np.empty(traj.times.size) for k in ("mass", "energy", "h1", "linf")}
     chunk = _batch_rows(problem.d, n_grid)
@@ -306,14 +296,13 @@ def free_trajectory(problem: NlsProblem, T: float, n_t: int) -> Trajectory:
     """Free evolution sampled on n_t+1 uniform nodes of [0, T]; diagnostics included."""
     times = np.arange(n_t + 1) * (T / n_t)
     U = _free_matrix(problem, _flow_phases(problem, times)[0])
-    return _wrap_trajectory(problem, times, U, {"solver": "free"}, problem.grid_size)
+    return _wrap_trajectory(problem, times, U, {"solver": "free"})
 
 
 def duhamel_apply(
     u_traj: Trajectory,
     problem: NlsProblem,
     T: float | None = None,
-    n_grid: int | None = None,
 ) -> Trajectory:
     """One application of the integral map: free flow of the data minus i times
     the flowed-back nonlinearity, integrated by composite trapezoid."""
@@ -322,10 +311,9 @@ def duhamel_apply(
         raise ValueError(f"trajectory covers [0, {times[-1]}], requested T={T}")
     M = problem.u0.box_radius
     _check_dt(times[1] - times[0], problem.geometry, M)
-    n_grid = _grid_guard(n_grid, problem.d, M)
     U = u_traj.coeff_matrix()
-    Phi, _ = _duhamel_matrix(U, problem, times, n_grid, _flow_phases(problem, times))
-    return _wrap_trajectory(problem, times, Phi, {"solver": "duhamel"}, n_grid)
+    Phi, _ = _duhamel_matrix(U, problem, times, _flow_phases(problem, times))
+    return _wrap_trajectory(problem, times, Phi, {"solver": "duhamel"})
 
 
 def picard_solve(
@@ -334,21 +322,22 @@ def picard_solve(
     dt: float,
     max_iter: int = 25,
     tol: float = 1e-10,
-    n_grid: int | None = None,
 ) -> Trajectory:
     """Iterate the integral map from the free-evolution guess to its fixed point.
 
     Convergence is measured in sup-in-time H1 (the computable stand-in for the
     iteration space metric); the mixed L^p space-time norm of each correction
-    is logged alongside.  Three consecutive non-contracting steps raise
+    is logged alongside.  Three consecutive non-contracting steps, a correction
+    that is not finite, or max_iter iterations without convergence raise
     NonContractionError, mirroring the smallness hypotheses of the local
     theory.  info["max_truncated_energy"] is the largest energy the last
     iteration's round trips discarded outside the box.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     M = problem.u0.box_radius
     n_t = max(int(round(T / dt)), 1)
     _check_dt(T / n_t, problem.geometry, M)
-    n_grid = _grid_guard(n_grid, problem.d, M)
     times = np.arange(n_t + 1) * (T / n_t)
     weights = _h1_weights(problem.geometry, M)
     p_log = 4.0 if problem.d == 3 else 10.0 / 3.0
@@ -359,9 +348,13 @@ def picard_solve(
     prev_diff = None
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        V, trunc = _duhamel_matrix(U, problem, times, n_grid, phases)
+        V, trunc = _duhamel_matrix(U, problem, times, phases)
         diff = V - U
         d_h1 = _sup_h1(diff, weights)
+        if not math.isfinite(d_h1):
+            raise NonContractionError(
+                f"fixed-point iterate {it} is not finite; reduce the data or the horizon"
+            )
         d_lp = _trajectory_lp(diff, problem, p_log)
         entry = {"iteration": it, "d_h1": d_h1, "d_lp": d_lp}
         if prev_diff is not None and prev_diff > 0:
@@ -373,14 +366,16 @@ def picard_solve(
             return _wrap_trajectory(
                 problem, times, U,
                 {"solver": "picard", "iterations": log, "converged": True,
-                 "max_truncated_energy": trunc}, n_grid,
+                 "max_truncated_energy": trunc},
             )
         if bad_streak >= 3:
             raise NonContractionError(
                 "fixed-point iteration is not contracting; reduce the data or the horizon"
             )
         prev_diff = d_h1
-    raise RuntimeError(f"no fixed point within {max_iter} iterations (last diff {prev_diff:.3e})")
+    raise NonContractionError(
+        f"no fixed point within {max_iter} iterations (last diff {prev_diff:.3e})"
+    )
 
 
 def _trajectory_lp(U: np.ndarray, problem: NlsProblem, p: float) -> float:
@@ -406,7 +401,6 @@ def split_step_evolve(
     problem: NlsProblem,
     T: float,
     dt: float,
-    n_grid: int | None = None,
 ) -> Trajectory:
     """Strang splitting: half nonlinear phase rotation, full linear step, half again.
 
@@ -421,7 +415,7 @@ def split_step_evolve(
     n_steps = max(int(round(T / dt)), 1)
     step = T / n_steps
     _check_dt(step, problem.geometry, M)
-    n_grid = _grid_guard(n_grid, d, M)
+    n_grid = problem.grid_size
     sym = _dispersion_symbol(problem.geometry, M).ravel()
     lin_phase = np.exp(-2j * np.pi * step * sym)
     weights = _h1_weights(problem.geometry, M)
@@ -457,7 +451,7 @@ def split_step_evolve(
     info = {"solver": "split-step", "dt": step, "max_truncated_energy": max_trunc}
     if flagged:
         info["flag"] = "blowup"
-    return _wrap_trajectory(problem, np.asarray(times), np.stack(rows), info, n_grid)
+    return _wrap_trajectory(problem, np.asarray(times), np.stack(rows), info)
 
 
 def conservation_report(traj: Trajectory) -> dict:
@@ -485,7 +479,6 @@ def contraction_factor(
     T: float,
     dt: float,
     perturb: float = 0.01,
-    n_grid: int | None = None,
 ) -> float:
     """Empirical contraction factor of the integral map around the free guess.
 
@@ -496,7 +489,6 @@ def contraction_factor(
     M = problem.u0.box_radius
     n_t = max(int(round(T / dt)), 1)
     _check_dt(T / n_t, problem.geometry, M)
-    n_grid = _grid_guard(n_grid, problem.d, M)
     times = np.arange(n_t + 1) * (T / n_t)
     weights = _h1_weights(problem.geometry, M)
 
@@ -509,8 +501,8 @@ def contraction_factor(
     delta = perturb * sobolev_norm(problem.u0, 1)
     V = U + delta * W
 
-    I_u, _ = _duhamel_integral(U, problem, times, n_grid, back)
-    I_v, _ = _duhamel_integral(V, problem, times, n_grid, back)
+    I_u, _ = _duhamel_integral(U, problem, times, back)
+    I_v, _ = _duhamel_integral(V, problem, times, back)
     # Phi(v)-Phi(u) = e^{it Delta}(-i)(I_v - I_u); the phases preserve H1.
     num = _sup_h1(I_v - I_u, weights)
     den = _sup_h1(V - U, weights)

@@ -21,10 +21,7 @@ import numpy as np
 
 from . import _fft
 from .core import FrequencyField, TorusGeometry, _dispersion_symbol, bump, require_dyadic
-from .errors import BudgetExceededError, GridTooCoarseError
-
-#: Default cap on n_t * grid cells for materialized space-time sampling.
-DEFAULT_CELL_BUDGET = 1 << 24
+from .errors import GridTooCoarseError
 
 #: Samples per period of the fastest temporal phase when integrating in t.
 TIME_SAMPLES_PER_PERIOD = 16
@@ -37,21 +34,6 @@ def time_sample_count(N: int, geometry: TorusGeometry, cap: int | None = None) -
     if cap is not None:
         n = min(n, int(cap))
     return n
-
-
-@dataclass(frozen=True)
-class SpaceTimeGrid:
-    """Uniform sampling: n_t left endpoints in time, n_x points per space axis."""
-
-    n_t: int
-    n_x: int
-
-    def __post_init__(self):
-        if self.n_t < 1 or self.n_x < 1:
-            raise ValueError("grid sizes must be >= 1")
-
-    def times(self, horizon: float = 1.0) -> np.ndarray:
-        return np.arange(self.n_t) * (horizon / self.n_t)
 
 
 @dataclass
@@ -68,10 +50,8 @@ class KernelEvaluation:
         return kernel_direct(self.t, x, self.N, self.geometry)
 
 
-def free_evolve(f: FrequencyField, t: float, geometry: TorusGeometry | None = None) -> FrequencyField:
+def free_evolve(f: FrequencyField, t: float) -> FrequencyField:
     """Multiply each coefficient by exp(-2*pi*i*t*sum_j theta_j k_j^2)."""
-    if geometry is not None and geometry != f.geometry:
-        raise ValueError("geometry mismatch between field and evolution request")
     sym = _dispersion_symbol(f.geometry, f.box_radius)
     return f.with_coeffs(f.coeffs * np.exp(-2j * np.pi * t * sym))
 
@@ -217,12 +197,7 @@ def _auto_chunk(cells: int) -> int:
     return int(min(4096, max(16, (1 << 16) // max(cells, 1))))
 
 
-def iter_evolved_grids(
-    f: FrequencyField,
-    ts: np.ndarray,
-    n_x: int,
-    chunk: int | None = None,
-):
+def iter_evolved_grids(f: FrequencyField, ts: np.ndarray, n_x: int):
     """Yield (time slice, grid values) chunks of the free evolution of f.
 
     Grid values are exact samples of the synthesized function (see _synthesize).
@@ -230,37 +205,8 @@ def iter_evolved_grids(
     d, M = f.geometry.d, f.box_radius
     sym = _dispersion_symbol(f.geometry, M).ravel()
     base = f.coeffs.ravel()
-    if chunk is None:
-        chunk = _auto_chunk(n_x**d)
+    chunk = _auto_chunk(n_x**d)
     for lo in range(0, ts.size, chunk):
         tslice = ts[lo : lo + chunk]
         rows = base[None, :] * np.exp(-2j * np.pi * np.outer(tslice, sym))
         yield tslice, _synthesize(rows, d, M, n_x)
-
-
-def sample_spacetime(
-    f: FrequencyField,
-    grid: SpaceTimeGrid,
-    geometry: TorusGeometry | None = None,
-    horizon: float = 1.0,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> np.ndarray:
-    """Materialize u(t_i, x_m) for the free evolution of f on the grid.
-
-    Guards the allocation against the cell budget before doing any work.
-    """
-    if geometry is not None and geometry != f.geometry:
-        raise ValueError("geometry mismatch between field and sampling request")
-    d, M = f.geometry.d, f.box_radius
-    cells = grid.n_t * max((2 * M + 1) ** d, grid.n_x**d)
-    if cells > budget:
-        raise BudgetExceededError(
-            f"requested {cells} cells exceeds the budget of {budget}"
-        )
-    ts = grid.times(horizon)
-    out = np.empty((grid.n_t,) + (grid.n_x,) * d, dtype=np.complex128)
-    row = 0
-    for tslice, vals in iter_evolved_grids(f, ts, grid.n_x):
-        out[row : row + tslice.size] = vals
-        row += tslice.size
-    return out

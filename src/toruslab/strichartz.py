@@ -81,10 +81,9 @@ def evolved_lp_norm(
     r: float,
     n_t: int,
     n_x: int,
-    horizon: float = 1.0,
 ) -> float:
-    """Streaming L^p_t L^r_x norm of the free evolution of f on [0, horizon)."""
-    ts = np.arange(n_t) * (horizon / n_t)
+    """Streaming L^p_t L^r_x norm of the free evolution of f on [0, 1)."""
+    ts = np.arange(n_t) * (1.0 / n_t)
     spatial_axes = None
     acc = 0.0
     top = 0.0
@@ -180,8 +179,6 @@ def strichartz_ratio(
     N: int,
     p: float,
     geometry: TorusGeometry,
-    n_t: int | None = None,
-    n_x: int | None = None,
 ) -> float:
     """||evolved, frequency-cut f||_{L^p_{t,x}} / (N^(d/2-(d+2)/p) ||f||_2).
 
@@ -199,10 +196,7 @@ def strichartz_ratio(
         cut = f  # multiplier is identically 1 on the core box
     else:
         cut = project(with_box_radius(f, max(f.box_radius, 2 * N)), N, "leq")
-    extent = _field_extent(cut)
-    if n_x is not None:
-        n_x = max(n_x, 2 * extent[0] + 2)
-    n_t, n_x, _ = _quadrature_sizes([extent], p, N, geometry, n_t=n_t, n_x=n_x)
+    n_t, n_x, _ = _quadrature_sizes([_field_extent(cut)], p, N, geometry)
     norm = evolved_lp_norm(cut, p, p, n_t, n_x)
     return norm / (float(N) ** (d / 2.0 - (d + 2.0) / p) * l2)
 
@@ -398,7 +392,6 @@ def bilinear_ratio_tensor(
     horizon: float = 1.0,
     n_t: int | None = None,
     n_x: int | None = None,
-    chunk: int = 1024,
 ) -> float:
     """bilinear_ratio for tensor-product data, via per-coordinate 1-d synthesis.
 
@@ -420,8 +413,8 @@ def bilinear_ratio_tensor(
         return _synthesize(rows, 1, M, n_x)
 
     acc = 0.0
-    for lo in range(0, n_t, chunk):
-        tchunk = ts[lo : lo + chunk]
+    for lo in range(0, n_t, 1024):  # the per-chunk sums fix the last bit
+        tchunk = ts[lo : lo + 1024]
         mean_prod = np.ones(tchunk.size)
         for j in range(d):
             su = axis_slices(axes_f[j], geometry.theta[j], tchunk)

@@ -182,7 +182,7 @@ def test_criterion_7_bilinear_table():
     t0 = time.time()
     g = TorusGeometry.square(3)
     horizons = (1.0, 0.25, 0.0625)
-    records = bilinear_table([8, 16, 32], horizons, g, data="flat", n_x=64)
+    records = bilinear_table([8, 16, 32], horizons, g, data="flat")
     assert all(np.isfinite(r["ratio"]) and r["ratio"] > 0 for r in records)
     global_max = max(r["ratio"] for r in records)
 
@@ -212,7 +212,7 @@ def test_criterion_7_bilinear_table():
         assert max(row.values()) <= 2.0 * diag_peak, (N2, row)
 
     # character data witnesses exact independence of the high frequency
-    witness = bilinear_table([8, 16, 32], (1.0, 0.25), g, data="character", n_x=64)
+    witness = bilinear_table([8, 16, 32], (1.0, 0.25), g, data="character")
     for T in (1.0, 0.25):
         for N2 in (1, 2, 4, 8):
             vals = [r["ratio"] for r in witness if r["T"] == T and r["N2"] == N2]

@@ -348,7 +348,8 @@ class TestMajorArc:
         assert (rem if inside else tilde) == 0.0
         assert tilde + rem == kernel_direct(t, x, N, geometry)
         res = check_diff_bound(N, sigma, geometry, n_t=64, n_x=8 * N)
-        ts = sweep_time_grid(N, geometry, n_t=64, extra=farey_midpoint_times(N, sigma, geometry))
+        mids = farey_midpoint_times(N, sigma, geometry)
+        ts = np.union1d(sweep_time_grid(N, geometry, n_t=64), mids)
         off = [t_ for t_ in ts if arc_definition(float(t_), N, sigma, geometry) is None]
         assert res.offarc_fraction == len(off) / ts.size
         assert res.degenerate == (not off)

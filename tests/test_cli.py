@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from toruslab import _fft
 from toruslab.cli import main
+from toruslab.nls import grid_size
 
 
 @pytest.fixture
@@ -206,6 +207,30 @@ class TestNlsRun:
         assert result.exit_code == 1
         aborted = json.loads((tmp_path / "aborted.json").read_text())
         assert aborted["truncated"] is True
+
+    def test_budget_uses_the_solver_grid(self, runner, tmp_path):
+        # live cells: 3 stored states of the 5^3 box and one 12^3 grid
+        need = 3 * 5**3 + grid_size(3, 2) ** 3
+        argv = ["nls-run", "--d", "3", "--N", "2", "--T", "0.02", "--dt", "1e-2"]
+        ok = runner.invoke(main, argv + ["--budget", str(need), "--out-dir", str(tmp_path / "ok")])
+        assert ok.exit_code == 0
+        out = tmp_path / "short"
+        short = runner.invoke(main, argv + ["--budget", str(need - 1), "--out-dir", str(out)])
+        assert short.exit_code == 1
+        aborted = json.loads((out / "aborted.json").read_text())
+        assert aborted["truncated"] is True
+        assert aborted["error"].startswith("BudgetExceededError")
+
+    @pytest.mark.parametrize("data", ["gaussian:1.2", "gaussian:20"], ids=["diverging", "overflow"])
+    def test_picard_abort_is_guard_abort(self, runner, tmp_path, data):
+        result = runner.invoke(main, [
+            "nls-run", "--d", "3", "--N", "2", "--T", "0.25", "--dt", "0.01",
+            "--solver", "picard", "--data", data, "--out-dir", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        aborted = json.loads((tmp_path / "aborted.json").read_text())
+        assert aborted["truncated"] is True
+        assert aborted["error"].startswith("NonContractionError")
 
 
 class TestUsageErrors:

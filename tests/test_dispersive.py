@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from toruslab.arithmetic import MajorArcParams, farey_atoms_float, in_major_arc
+from toruslab.arithmetic import MajorArcParams, farey_atoms_float, in_major_arc, major_arc_mask
+from toruslab import dispersive
 from toruslab.core import TorusGeometry
 from toruslab.dispersive import (
     BilinearFormCheckParams,
@@ -16,6 +17,7 @@ from toruslab.dispersive import (
     dispersive_bound,
     dispersive_bound_batch,
     dispersive_rhs,
+    farey_midpoint_times,
     kernel_split,
     run_bilinear_draws,
     sweep_time_grid,
@@ -129,6 +131,31 @@ class TestSharedSweep:
         assert np.max(kmax / bounds) == rep.max_ratio_kernel_vs_bound
         assert "sweep" not in rep.to_json_dict()
 
+    @pytest.mark.parametrize(
+        "geometry", [TorusGeometry(2, (1.0, IRRATIONAL)), TorusGeometry.square(2)],
+        ids=["distinct", "repeated"],
+    )
+    def test_each_time_swept_once(self, monkeypatch, geometry):
+        # the off-arc times of the base grid and the Farey midpoints, then the
+        # on-arc base times, each swept once per distinct weight
+        calls = []
+
+        def counting(ts, N, theta, n_x, *args, **kwargs):
+            calls.append((theta, ts.copy()))
+            return kernel_axis_max_abs(ts, N, theta, n_x, *args, **kwargs)
+
+        monkeypatch.setattr(dispersive, "kernel_axis_max_abs", counting)
+        check_dispersive(8, geometry, sigma=0.45, n_t=1000)
+        base = sweep_time_grid(8, geometry, n_t=1000)
+        union = np.union1d(base, farey_midpoint_times(8, 0.45, geometry))
+        off = union[~major_arc_mask(union, MajorArcParams(sigma=0.45, N=8), geometry)]
+        want = np.union1d(off, base)
+        assert union.size > base.size
+        for theta in set(geometry.theta):
+            swept = np.concatenate([ts for th, ts in calls if th == theta])
+            assert np.array_equal(np.sort(swept), want)
+        assert {theta for theta, _ in calls} == set(geometry.theta)
+
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 0.7])
     def test_sigma_out_of_range(self, sigma):
         with pytest.raises(ValueError):
@@ -230,18 +257,14 @@ class TestDispersiveRhs:
 
 class TestBilinearFormCheck:
     def params(self, Q=1, T=1.0 / 256, sigma=0.1):
-        return BilinearFormCheckParams.from_exponent(
-            r0=2.0 / (1.0 - sigma), Q=Q, T_scale=T, sigma=sigma
-        )
+        return BilinearFormCheckParams(r0=2.0 / (1.0 - sigma), Q=Q, T_scale=T, sigma=sigma)
 
     def test_recipe_validation(self):
         p = self.params()
         assert p.alpha == pytest.approx((4 - p.r0) / (2 * (p.r0 - 2)))
         assert p.delta == pytest.approx(1.0 / p.alpha)
         with pytest.raises(ValueError):
-            BilinearFormCheckParams(r0=2.2222, Q=1, T_scale=0.1, delta=1.0, alpha=1.0, tau=1.0)
-        with pytest.raises(ValueError):
-            BilinearFormCheckParams.from_exponent(r0=2.05, Q=1, T_scale=0.1, sigma=0.1)
+            BilinearFormCheckParams(r0=2.05, Q=1, T_scale=0.1, sigma=0.1)
 
     def test_empty_set_gives_zero(self):
         lhs, rhs = bilinear_form_check([], [(0.0, 0.5)], self.params(), 16384)

@@ -91,6 +91,8 @@ class TestNonlinearity:
         g = cubic_geometry()
         u = FrequencyField.zeros(g, 2)
         assert np.all(nonlinearity(u).coeffs == 0)
+        with pytest.raises(TypeError):
+            nonlinearity(u, 3, -1)  # the old (u, d, sign) positional form
 
     def test_constant_quintic(self):
         g = cubic_geometry()
@@ -110,12 +112,6 @@ class TestNonlinearity:
         out = nonlinearity(u, sign=-1)
         expected = -abs(amp) ** 2 * amp
         assert out.coeffs[u.index_of((1, 0, 0, 0))] == pytest.approx(expected, rel=1e-12)
-
-    def test_aliasing_guard(self):
-        g = cubic_geometry()
-        u = FrequencyField.character(g, 4, (0, 0, 0))
-        with pytest.raises(GridTooCoarseError):
-            nonlinearity(u, n_grid=16)  # needs 6 * 4 = 24
 
     def test_truncation_energy_reported(self):
         # the reported value is the energy of the modes the box discards
@@ -223,6 +219,13 @@ class TestPicard:
         prob = plane_wave_problem(1.6, M=2)
         with pytest.raises(NonContractionError):
             picard_solve(prob, 1.0, 1.0 / 64, max_iter=12)
+
+    def test_iteration_cap_raises_non_contraction(self):
+        prob = plane_wave_problem(0.1)
+        with pytest.raises(NonContractionError, match="no fixed point within 1 iterations"):
+            picard_solve(prob, 0.05, 1e-2, max_iter=1)
+        with pytest.raises(ValueError, match="max_iter"):
+            picard_solve(prob, 0.05, 1e-2, max_iter=0)
 
 
 class TestSplitStep:

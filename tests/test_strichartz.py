@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
-from toruslab.propagator import SpaceTimeGrid, sample_spacetime, time_sample_count
+from toruslab.propagator import time_sample_count
 from toruslab.strichartz import (
     _axes_extent,
     _field_extent,
@@ -26,6 +26,7 @@ from toruslab.strichartz import (
 )
 
 from test_core import random_field
+from test_propagator import sample_grid
 
 IRRATIONAL = 0.7071067811865476
 
@@ -39,13 +40,13 @@ class TestSpacetimeLpNorm:
     def test_unimodular_character_evolution(self):
         g = TorusGeometry(1, (IRRATIONAL,))
         f = FrequencyField.character(g, 2, (1,))
-        samples = sample_spacetime(f, SpaceTimeGrid(n_t=16, n_x=16))
+        samples = sample_grid(f, 16, 16)
         assert spacetime_lp_norm(samples, 8, 8) == pytest.approx(1.0, abs=1e-12)
 
     def test_l2_matches_data_norm(self):
         g = TorusGeometry(2, (1.0, IRRATIONAL))
         f = random_field(g, 3, seed=0)
-        samples = sample_spacetime(f, SpaceTimeGrid(n_t=50, n_x=16))
+        samples = sample_grid(f, 50, 16)
         assert spacetime_lp_norm(samples, 2, 2) == pytest.approx(sobolev_norm(f, 0), rel=1e-6)
 
     def test_holder_monotone(self):
@@ -65,7 +66,7 @@ class TestSpacetimeLpNorm:
         g = TorusGeometry(1, (IRRATIONAL,))
         f = random_field(g, 4, seed=2)
         n_t, n_x = 40, 32
-        samples = sample_spacetime(f, SpaceTimeGrid(n_t=n_t, n_x=n_x))
+        samples = sample_grid(f, n_t, n_x)
         for p, r in ((4, 4), (6, 2), (np.inf, 4)):
             assert evolved_lp_norm(f, p, r, n_t, n_x) == pytest.approx(
                 spacetime_lp_norm(samples, p, r), rel=1e-12
