@@ -31,9 +31,9 @@ from .arithmetic import (
 from .dispersive import check_dispersive
 from .errors import BoxTooSmallError, BudgetExceededError, GridTooCoarseError, NonContractionError
 from .io import write_field
-from .nls import NlsProblem, conservation_report, grid_size, picard_solve, split_step_evolve
+from .nls import NlsProblem, conservation_report, live_cells, picard_solve, split_step_evolve
 from .propagator import kernel_direct, kernel_grid
-from .strichartz import bilinear_table, exponent_sweep
+from .strichartz import _check_exponent, bilinear_table, exponent_sweep
 
 GUARD_ERRORS = (BudgetExceededError, GridTooCoarseError, BoxTooSmallError, NonContractionError)
 
@@ -80,8 +80,19 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+def _exponent(ctx, param, value: float) -> float:
+    try:
+        _check_exponent(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from exc
+    return value
+
+
+def _horizons(ctx, param, text: str) -> list[float]:
+    hs = [float(v) for v in text.split(",")]
+    if not all(np.isfinite(h) and h > 0 for h in hs):
+        raise click.BadParameter(f"horizons must be finite and > 0, got {text}", ctx, param)
+    return hs
 
 
 def _guard_abort(out_dir: Path | None, config: dict, seed, exc: Exception) -> None:
@@ -125,7 +136,7 @@ def main():
 @click.option("--N", "cutoff", type=int, required=True)
 @click.option("--t", "time_pt", type=float, default=0.0, show_default=True)
 @click.option("--x", "point", type=str, default=None, help="comma list: evaluate at one point")
-@click.option("--n-x", type=int, default=None, help="grid resolution for the CSV dump")
+@click.option("--n-x", type=click.IntRange(min=1), default=None, help="grid resolution for the CSV dump")
 @click.option("--budget", type=int, default=1 << 24, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=None)
 def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
@@ -175,8 +186,8 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
 @click.option("--theta", type=str, default=None)
 @click.option("--N", "cutoffs", type=str, required=True, help="comma list of dyadic N")
 @click.option("--sigma", type=float, default=0.1, show_default=True)
-@click.option("--n-t", type=int, default=None)
-@click.option("--n-x", type=int, default=None)
+@click.option("--n-t", type=click.IntRange(min=1), default=None)
+@click.option("--n-x", type=click.IntRange(min=1), default=None)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--dump-grid", is_flag=True, default=False,
               help="also write per-time-sample kernel/bound CSVs (can be large)")
@@ -213,12 +224,12 @@ def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, threads, dump_grid, o
 @main.command("strichartz-sweep")
 @click.option("--d", "dim", type=int, default=1, show_default=True)
 @click.option("--theta", type=str, default=None)
-@click.option("--p", "exponent", type=float, required=True)
+@click.option("--p", "exponent", type=float, required=True, callback=_exponent)
 @click.option("--class", "data_class", type=click.Choice(["character", "flat", "random_gaussian"]), default="flat", show_default=True)
 @click.option("--N", "cutoffs", type=str, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-t", type=int, default=None)
-@click.option("--n-x", type=int, default=None)
+@click.option("--n-t", type=click.IntRange(min=1), default=None)
+@click.option("--n-x", type=click.IntRange(min=1), default=None)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--emit-plot", is_flag=True, default=False,
               help="also write a gnuplot script for the sweep CSV")
@@ -233,7 +244,7 @@ def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, 
         "class": data_class, "N": n_list, "n_t": n_t, "n_x": n_x,
     }
     try:
-        fit = exponent_sweep(data_class, exponent, n_list, g, seed=seed, n_t=n_t, n_x=n_x, threads=threads)
+        fit = exponent_sweep(data_class, exponent, n_list, g, seed=seed, n_t=n_t, n_x=n_x)
     except GUARD_ERRORS as exc:
         _guard_abort(out_dir, config, seed, exc)
         return
@@ -269,10 +280,10 @@ def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, 
 @click.option("--d", "dim", type=int, default=3, show_default=True)
 @click.option("--theta", type=str, default=None)
 @click.option("--N1", "n1_list", type=str, required=True, help="comma list of high scales")
-@click.option("--T", "horizons", type=str, default="1", show_default=True)
+@click.option("--T", "horizons", type=str, default="1", show_default=True, callback=_horizons)
 @click.option("--class", "data_class", type=click.Choice(["flat", "character", "random"]), default="flat", show_default=True)
-@click.option("--n-x", type=int, default=None)
-@click.option("--n-t", type=int, default=None)
+@click.option("--n-x", type=click.IntRange(min=1), default=None)
+@click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
@@ -281,13 +292,12 @@ def bilinear_check(dim, theta, n1_list, horizons, data_class, n_x, n_t, seed, th
     _fft.set_workers(threads)
     g = _parse_theta(dim, theta)
     n1 = _parse_int_list(n1_list)
-    hs = _parse_float_list(horizons)
     config = {
         "command": "bilinear-check", "d": dim, "theta": list(g.theta), "N1": n1,
-        "T": hs, "class": data_class, "n_x": n_x, "n_t": n_t,
+        "T": horizons, "class": data_class, "n_x": n_x, "n_t": n_t,
     }
     try:
-        records = bilinear_table(n1, hs, g, data=data_class, n_x=n_x, n_t=n_t, seed=seed)
+        records = bilinear_table(n1, horizons, g, data=data_class, n_x=n_x, n_t=n_t, seed=seed)
     except GUARD_ERRORS as exc:
         _guard_abort(out_dir, config, seed, exc)
         return
@@ -340,8 +350,8 @@ def _parse_data_spec(spec: str, g: TorusGeometry, box: int, seed: int) -> Freque
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
 def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fields, threads, budget, out_dir):
     """Run the critical-power solver and write per-step conservation diagnostics."""
-    if not 0 < dt <= horizon:
-        raise click.UsageError(f"need 0 < dt <= T, got dt={dt}, T={horizon}")
+    if not 0 < dt <= horizon < np.inf:
+        raise click.UsageError(f"need 0 < dt <= T < inf, got dt={dt}, T={horizon}")
     _fft.set_workers(threads)
     d = int(dim)
     g = _parse_theta(d, theta)
@@ -350,11 +360,9 @@ def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fi
         "data": data_spec, "N": box, "T": horizon, "dt": dt, "solver": solver,
     }
     try:
-        # live cells: stored trajectory plus one transient dealiasing grid
-        n_states = int(round(horizon / dt)) + 1
-        cells = n_states * (2 * box + 1) ** d + grid_size(d, box) ** d
+        cells = live_cells(d, box, horizon, dt, solver)
         if cells > budget:
-            raise BudgetExceededError(f"{cells} trajectory cells exceed budget {budget}")
+            raise BudgetExceededError(f"{cells} live {solver} cells exceed budget {budget}")
         u0 = _parse_data_spec(data_spec, g, box, seed)
         problem = NlsProblem(g, +1 if sign == "defocusing" else -1, u0)
         if solver == "picard":

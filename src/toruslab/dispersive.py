@@ -111,7 +111,7 @@ def refocusing_times(N: int, geometry: TorusGeometry, depth: int = SWEEP_FAREY_D
 def sweep_time_grid(N: int, geometry: TorusGeometry, n_t: int | None = None) -> np.ndarray:
     """Uniform left-endpoint grid densified with refocusing times."""
     if n_t is None:
-        n_t = time_sample_count(N, geometry, cap=SWEEP_TIME_CAP)
+        n_t = min(time_sample_count(N, geometry), SWEEP_TIME_CAP)
     base = np.arange(n_t + 1) / n_t
     return np.unique(np.concatenate([base, refocusing_times(N, geometry)]))
 

@@ -113,6 +113,21 @@ def grid_size(d: int, M: int) -> int:
     return DEALIAS_FACTOR[d] * M
 
 
+def live_cells(d: int, M: int, T: float, dt: float, solver: str) -> int:
+    """Complex cells a solve of [0, T] at step dt holds at its peak (nls-run --budget).
+
+    Split-step: its trajectory and one grid.  Picard: ten trajectories (both
+    flow phases, the iterate, the last correction, the nonlinearity, its
+    flowed-back copy, the integral and the trapezoid sum's three temporaries)
+    and four grids per row of a nonlinearity batch (measured peak about 3.2).
+    """
+    n, n_states = grid_size(d, M), max(int(round(T / dt)), 1) + 1
+    trajectory = n_states * (2 * M + 1) ** d
+    if solver == "picard":
+        return 10 * trajectory + 4 * min(_batch_rows(d, n), n_states) * n**d
+    return trajectory + n**d
+
+
 def _batch_rows(d: int, n_grid: int) -> int:
     """Rows per batch so one batch's grids hold about BATCH_CELLS cells."""
     return max(1, BATCH_CELLS // n_grid**d)
@@ -326,8 +341,8 @@ def picard_solve(
     """Iterate the integral map from the free-evolution guess to its fixed point.
 
     Convergence is measured in sup-in-time H1 (the computable stand-in for the
-    iteration space metric); the mixed L^p space-time norm of each correction
-    is logged alongside.  Three consecutive non-contracting steps, a correction
+    iteration space metric); the L^p space-time norm of each correction is
+    logged alongside.  Three consecutive non-contracting steps, a correction
     that is not finite, or max_iter iterations without convergence raise
     NonContractionError, mirroring the smallness hypotheses of the local
     theory.  info["max_truncated_energy"] is the largest energy the last
@@ -386,7 +401,7 @@ def _trajectory_lp(U: np.ndarray, problem: NlsProblem, p: float) -> float:
     """
     M = problem.u0.box_radius
     vals = _synthesize(U, problem.d, M, 2 * M + 1)
-    return spacetime_lp_norm(vals, p, p)
+    return spacetime_lp_norm(vals, p)
 
 
 def _unit_phase(angle: np.ndarray) -> np.ndarray:

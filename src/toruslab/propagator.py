@@ -27,13 +27,10 @@ from .errors import GridTooCoarseError
 TIME_SAMPLES_PER_PERIOD = 16
 
 
-def time_sample_count(N: int, geometry: TorusGeometry, cap: int | None = None) -> int:
+def time_sample_count(N: int, geometry: TorusGeometry) -> int:
     """Left-endpoint sample count resolving the fastest phase 2*pi*t*theta*(2N)^2."""
     n = int(math.ceil(TIME_SAMPLES_PER_PERIOD * (2 * N) ** 2 * geometry.theta_max))
-    n = max(n, 64)
-    if cap is not None:
-        n = min(n, int(cap))
-    return n
+    return max(n, 64)
 
 
 @dataclass
@@ -208,5 +205,5 @@ def iter_evolved_grids(f: FrequencyField, ts: np.ndarray, n_x: int):
     chunk = _auto_chunk(n_x**d)
     for lo in range(0, ts.size, chunk):
         tslice = ts[lo : lo + chunk]
-        rows = base[None, :] * np.exp(-2j * np.pi * np.outer(tslice, sym))
-        yield tslice, _synthesize(rows, d, M, n_x)
+        # the phased rows are a temporary, so a suspended generator holds only its grid
+        yield tslice, _synthesize(base[None, :] * np.exp(-2j * np.pi * np.outer(tslice, sym)), d, M, n_x)

@@ -1,6 +1,6 @@
 """Space-time norms of free evolutions, scaling sweeps, and bilinear products.
 
-Norms are mixed-power means over [0, horizon) x torus, on uniform grids: a
+Norms are L^p power means over [0, horizon) x torus, on uniform grids: a
 left-endpoint rule in time and the grid mean in space.  One rule picks the
 grid sizes (_quadrature_sizes).  For p = 2m, |u|^p is a trigonometric
 polynomial whose spatial band is at most 2mB per axis, B the largest |k_j| in
@@ -13,15 +13,16 @@ other case (odd or fractional p, a non-integer weight, a horizon other than
 resolve the fastest quadratic phase with 16 time samples per period, with
 n_x = 8N in d = 1 and 4N otherwise (max(64, 2N1) for bilinear products), and
 the value is an approximation.  Each choice reports whether it is exact.
-Norm evaluations stream over time chunks and never materialize the full
-space-time array.
+Every space-time integral streams through one reducer (_stream) over time
+chunks and never materializes the space-time array; tensor-product bilinear
+data runs as one 1-d field per coordinate.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -29,7 +30,6 @@ from scipy.fft import next_fast_len
 from .core import (
     FrequencyField,
     TorusGeometry,
-    _dispersion_symbol,
     _modulus_power,
     is_dyadic,
     project,
@@ -37,73 +37,73 @@ from .core import (
     sobolev_norm,
     with_box_radius,
 )
-from .propagator import _synthesize, iter_evolved_grids, time_sample_count
+from .propagator import iter_evolved_grids, time_sample_count
 
 
-def _ordered_map(fn, items, threads: int = 1) -> list:
-    """Map preserving input order; thread pool only changes wall time, not results."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _check_exponent(p) -> None:
+    """The exponent rule of every space-time norm: p >= 1 or infinity (NaN fails)."""
+    if not p >= 1:
+        raise ValueError(f"exponent must be >= 1 or infinity, got {p}")
 
 
-def spacetime_lp_norm(samples: np.ndarray, p, r) -> float:
-    """Mixed (p, r) power-mean norm of samples shaped (n_t, n_x, ..., n_x).
+def spacetime_lp_norm(samples: np.ndarray, p) -> float:
+    """L^p power-mean norm of samples shaped (n_t, n_x, ..., n_x), p >= 1 or infinity.
 
-    Inner spatial mean at exponent r, outer temporal mean at exponent p; both
-    on probability measure, infinity handled as a max.  The time direction is
-    a left-endpoint rule over the sample rows.
+    The mean is over all samples (probability measure; infinity is a max), so
+    the time direction is a left-endpoint rule over the sample rows.
     """
+    _check_exponent(p)
     samples = np.asarray(samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    if (p != np.inf and p < 1) or (r != np.inf and r < 1):
-        raise ValueError("exponents must be >= 1 (or infinity)")
     a = np.abs(samples)
     scale = float(np.max(a))
-    if scale == 0.0:
-        return 0.0
+    if scale == 0.0 or p == np.inf:
+        return scale
     a = a / scale  # power means are 1-homogeneous; normalizing avoids overflow
-    spatial_axes = tuple(range(1, a.ndim))
-    if r == np.inf:
-        inner = np.max(a, axis=spatial_axes) if spatial_axes else a
-    else:
-        inner = np.mean(a**r, axis=spatial_axes) ** (1.0 / r) if spatial_axes else a
-    if p == np.inf:
-        return scale * float(np.max(inner))
-    return scale * float(np.mean(inner**p) ** (1.0 / p))
+    return scale * float(np.mean(a**p) ** (1.0 / p))
 
 
-def evolved_lp_norm(
-    f: FrequencyField,
-    p: float,
-    r: float,
-    n_t: int,
-    n_x: int,
-) -> float:
-    """Streaming L^p_t L^r_x norm of the free evolution of f on [0, 1)."""
-    ts = np.arange(n_t) * (1.0 / n_t)
-    spatial_axes = None
+def _stream(groups, ts: np.ndarray, n_x: int, integrand, over_x=np.mean):
+    """Per time chunk, prod_g over_x integrand(prod_{f in g} e^{it Delta} f), one value per time.
+
+    The fields share a dimension, so their iter_evolved_grids chunk alike and
+    advance in lockstep.  A grid keeps its slot until the slot's next grid is
+    made: the heap neither holds all groups' grids nor trims between chunks.
+    """
+    gens = [[iter_evolved_grids(f, ts, n_x) for f in group] for group in groups]
+    slots = [None] * max(len(group) for group in groups)
+    while True:
+        out = None
+        for group_gens in gens:
+            for k, gen in enumerate(group_gens):
+                slots[k] = next(gen, None)
+            if slots[0] is None:
+                return
+            red = over_x(  # the group's product is a temporary
+                integrand(reduce(np.multiply, [v for _, v in slots[: len(group_gens)]])),
+                axis=tuple(range(1, slots[0][1].ndim)),
+            )
+            out = red if out is None else out * red
+        yield out
+
+
+def _chunk_sum(chunks) -> float:
+    """Sum of the streamed per-time values, accumulated chunk by chunk."""
     acc = 0.0
-    top = 0.0
-    for _, vals in iter_evolved_grids(f, ts, n_x):
-        if spatial_axes is None:
-            spatial_axes = tuple(range(1, vals.ndim))
-        if r == np.inf:
-            inner_r = np.sqrt(np.max(_modulus_power(vals, 2.0), axis=spatial_axes))
-        else:
-            inner_r = np.mean(_modulus_power(vals, r), axis=spatial_axes)  # inner norm ^ r
-        if p == np.inf:
-            val = np.max(inner_r)
-            top = max(top, float(val ** (1.0 / r)) if r != np.inf else float(val))
-        elif p == r:
-            acc += float(np.sum(inner_r))
-        else:
-            inner = inner_r if r == np.inf else inner_r ** (1.0 / r)
-            acc += float(np.sum(inner**p))
+    for vals in chunks:
+        acc += float(np.sum(vals))
+    return acc
+
+
+def evolved_lp_norm(f: FrequencyField, p: float, *, n_t: int, n_x: int) -> float:
+    """Streaming L^p_{t,x} norm of the free evolution of f on [0, 1), p >= 1 or infinity."""
+    _check_exponent(p)
+    ts = np.arange(n_t) * (1.0 / n_t)
     if p == np.inf:
-        return top
+        chunks = _stream([(f,)], ts, n_x, lambda u: _modulus_power(u, 2.0), over_x=np.max)
+        return math.sqrt(max(float(np.max(top)) for top in chunks))
+    acc = _chunk_sum(_stream([(f,)], ts, n_x, lambda u: _modulus_power(u, p)))
     return (acc / n_t) ** (1.0 / p)
 
 
@@ -197,7 +197,7 @@ def strichartz_ratio(
     else:
         cut = project(with_box_radius(f, max(f.box_radius, 2 * N)), N, "leq")
     n_t, n_x, _ = _quadrature_sizes([_field_extent(cut)], p, N, geometry)
-    norm = evolved_lp_norm(cut, p, p, n_t, n_x)
+    norm = evolved_lp_norm(cut, p, n_t=n_t, n_x=n_x)
     return norm / (float(N) ** (d / 2.0 - (d + 2.0) / p) * l2)
 
 
@@ -272,22 +272,21 @@ def exponent_sweep(
     seed: int = 0,
     n_t: int | None = None,
     n_x: int | None = None,
-    threads: int = 1,
 ) -> ScalingFit:
     """Measure ||evolved data||_{L^p_{t,x}} across N and fit the log-log slope."""
     N_list = [int(n) for n in N_list]
     if len(N_list) < 4:
         raise ValueError("need at least 4 values of N for a slope fit")
-
-    def one(N: int) -> tuple[float, dict]:
+    _check_exponent(p)  # before the sizes rule reads p
+    norms, quadrature = [], []
+    for N in N_list:
         f = sweep_data(data_class, N, geometry, seed=seed)
         nt, nx, exact = _quadrature_sizes([_field_extent(f)], p, N, geometry, n_t=n_t, n_x=n_x)
-        return evolved_lp_norm(f, p, p, nt, nx), {"N": N, "n_t": nt, "n_x": nx, "exact": exact}
-
-    norms, quadrature = zip(*_ordered_map(one, N_list, threads=threads))
+        norms.append(evolved_lp_norm(f, p, n_t=nt, n_x=nx))
+        quadrature.append({"N": N, "n_t": nt, "n_x": nx, "exact": exact})
     d = geometry.d
     fit = fit_scaling(N_list, norms, p, d / 2.0 - (d + 2.0) / p)
-    fit.quadrature = list(quadrature)
+    fit.quadrature = quadrature
     return fit
 
 
@@ -304,6 +303,15 @@ def _band_support_ok(f: FrequencyField, N: int) -> bool:
     if N == 1:
         return bool(np.all(ks <= 1))
     return bool(np.all((ks > N // 2) & (ks < 2 * N)))
+
+
+def _bilinear_norm(groups, extents, N1: int, geometry: TorusGeometry, horizon, n_t, n_x) -> float:
+    """L^2_{t,x}([0, horizon) x torus) norm of the product, over groups, of each group's evolutions."""
+    if geometry.d < 3:
+        raise ValueError("bilinear check requires d >= 3")
+    n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
+    ts = np.arange(n_t) * (horizon / n_t)
+    return math.sqrt(horizon * _chunk_sum(_stream(groups, ts, n_x, lambda u: np.abs(u) ** 2)) / n_t)
 
 
 def bilinear_ratio(
@@ -324,9 +332,6 @@ def bilinear_ratio(
     """
     require_dyadic(N1)
     require_dyadic(N2)
-    d = geometry.d
-    if d < 3:
-        raise ValueError("bilinear check requires d >= 3")
     if not 1 <= N2 <= N1:
         raise ValueError(f"need 1 <= N2 <= N1, got N1={N1}, N2={N2}")
     if f.geometry != geometry or h.geometry != geometry:
@@ -334,17 +339,8 @@ def bilinear_ratio(
     if not _band_support_ok(f, N1) or not _band_support_ok(h, N2):
         raise ValueError("band-projection mismatch: data must live on its dyadic band")
     extents = [_field_extent(f), _field_extent(h)]
-    n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
-    ts = np.arange(n_t) * (horizon / n_t)
-    acc = 0.0
-    gen_f = iter_evolved_grids(f, ts, n_x)
-    gen_h = iter_evolved_grids(h, ts, n_x)
-    for (_, uf), (_, uh) in zip(gen_f, gen_h):
-        prod = np.abs(uf * uh) ** 2
-        acc += float(np.sum(np.mean(prod, axis=tuple(range(1, prod.ndim)))))
-    norm = math.sqrt(horizon * acc / n_t)
-    denom = float(N2) ** ((d - 2) / 2.0) * sobolev_norm(f, 0) * sobolev_norm(h, 0)
-    return norm / denom
+    norm = _bilinear_norm([(f, h)], extents, N1, geometry, horizon, n_t, n_x)
+    return norm / (float(N2) ** ((geometry.d - 2) / 2.0) * sobolev_norm(f, 0) * sobolev_norm(h, 0))
 
 
 def band_axis_coeffs(kind: str, N: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -393,36 +389,19 @@ def bilinear_ratio_tensor(
     n_t: int | None = None,
     n_x: int | None = None,
 ) -> float:
-    """bilinear_ratio for tensor-product data, via per-coordinate 1-d synthesis.
+    """bilinear_ratio for tensor-product data, via one 1-d field per coordinate.
 
     The spatial mean of the product field factors exactly over coordinates on
     the product grid, so this path reproduces the generic grid computation at
     a fraction of the cost.  Axis vectors must be unit L2.
     """
-    d = geometry.d
-    if d < 3:
-        raise ValueError("bilinear check requires d >= 3")
     extents = [_axes_extent(axes_f, geometry), _axes_extent(axes_h, geometry)]
-    n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
-    ts = np.arange(n_t) * (horizon / n_t)
-
-    def axis_slices(vec: np.ndarray, theta: float, tchunk: np.ndarray) -> np.ndarray:
-        M = (vec.size - 1) // 2
-        sym = _dispersion_symbol(TorusGeometry(1, (theta,)), M)
-        rows = vec[None, :] * np.exp(-2j * np.pi * np.outer(tchunk, sym))
-        return _synthesize(rows, 1, M, n_x)
-
-    acc = 0.0
-    for lo in range(0, n_t, 1024):  # the per-chunk sums fix the last bit
-        tchunk = ts[lo : lo + 1024]
-        mean_prod = np.ones(tchunk.size)
-        for j in range(d):
-            su = axis_slices(axes_f[j], geometry.theta[j], tchunk)
-            sh = axis_slices(axes_h[j], geometry.theta[j], tchunk)
-            mean_prod = mean_prod * np.mean(np.abs(su * sh) ** 2, axis=1)
-        acc += float(np.sum(mean_prod))
-    norm = math.sqrt(horizon * acc / n_t)
-    return norm / float(N2) ** ((d - 2) / 2.0)
+    groups = [
+        tuple(FrequencyField(TorusGeometry(1, (theta,)), (v.size - 1) // 2, v) for v in pair)
+        for theta, pair in zip(geometry.theta, zip(axes_f, axes_h))
+    ]
+    norm = _bilinear_norm(groups, extents, N1, geometry, horizon, n_t, n_x)
+    return norm / float(N2) ** ((geometry.d - 2) / 2.0)
 
 
 def bilinear_table(

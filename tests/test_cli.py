@@ -16,6 +16,19 @@ def runner():
     return CliRunner()
 
 
+def _outputs_per_thread_count(runner, tmp_path, argv) -> list[dict]:
+    """Output files of argv run with --threads 1 and 2; the worker count must not outlive a run."""
+    workers = _fft._WORKERS
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        result = runner.invoke(main, argv + ["--threads", threads, "--out-dir", str(out)])
+        assert result.exit_code == 0
+        assert _fft._WORKERS == workers  # the count is scoped to the command
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    return outs
+
+
 class TestKernelCommand:
     def test_point_value(self, runner):
         result = runner.invoke(
@@ -153,6 +166,14 @@ class TestSweepCommands:
         assert [q["exact"] for q in quad] == [True, False, True, False, True, False,
                                               True, False, False, False]
 
+    def test_threads_do_not_change_output(self, runner, tmp_path):
+        outs = _outputs_per_thread_count(runner, tmp_path, [
+            "strichartz-sweep", "--d", "2", "--p", "6", "--class", "random_gaussian",
+            "--N", "1,2,4,8", "--seed", "3",
+        ])
+        assert len(outs[0]) == 2  # the sweep CSV and the fit
+        assert outs[0] == outs[1]
+
 
 class TestNlsRun:
     def test_plane_wave_run(self, runner, tmp_path):
@@ -183,18 +204,10 @@ class TestNlsRun:
     @pytest.mark.parametrize("solver", ["picard", "splitstep"])
     @pytest.mark.parametrize("dim, box", [("3", "4"), ("4", "2")])
     def test_threads_do_not_change_output(self, runner, tmp_path, solver, dim, box):
-        workers = _fft._WORKERS
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            result = runner.invoke(main, [
-                "nls-run", "--d", dim, "--data", "gaussian:0.25", "--N", box, "--T", "0.004",
-                "--dt", "1e-3", "--solver", solver, "--seed", "3", "--dump-fields",
-                "--threads", threads, "--out-dir", str(out),
-            ])
-            assert result.exit_code == 0
-            assert _fft._WORKERS == workers  # the count is scoped to the command
-            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        outs = _outputs_per_thread_count(runner, tmp_path, [
+            "nls-run", "--d", dim, "--data", "gaussian:0.25", "--N", box, "--T", "0.004",
+            "--dt", "1e-3", "--solver", solver, "--seed", "3", "--dump-fields",
+        ])
         assert len(outs[0]) == 7  # diagnostics, summary and 5 states
         assert json.loads(outs[0]["nls_summary.json"])["max_truncated_energy"] > 0
         assert outs[0] == outs[1]
@@ -209,17 +222,25 @@ class TestNlsRun:
         assert aborted["truncated"] is True
 
     def test_budget_uses_the_solver_grid(self, runner, tmp_path):
-        # live cells: 3 stored states of the 5^3 box and one 12^3 grid
-        need = 3 * 5**3 + grid_size(3, 2) ** 3
-        argv = ["nls-run", "--d", "3", "--N", "2", "--T", "0.02", "--dt", "1e-2"]
-        ok = runner.invoke(main, argv + ["--budget", str(need), "--out-dir", str(tmp_path / "ok")])
-        assert ok.exit_code == 0
-        out = tmp_path / "short"
-        short = runner.invoke(main, argv + ["--budget", str(need - 1), "--out-dir", str(out)])
-        assert short.exit_code == 1
-        aborted = json.loads((out / "aborted.json").read_text())
-        assert aborted["truncated"] is True
-        assert aborted["error"].startswith("BudgetExceededError")
+        # split-step: 3 stored states of the 5^3 box and one 12^3 grid; Picard:
+        # 10 such trajectories and 4 grids for each of the 3 rows of its nonlinearity batch
+        needs = {
+            "splitstep": 3 * 5**3 + grid_size(3, 2) ** 3,
+            "picard": 10 * 3 * 5**3 + 4 * 3 * grid_size(3, 2) ** 3,
+        }
+        for solver, need in needs.items():
+            argv = ["nls-run", "--d", "3", "--N", "2", "--T", "0.02", "--dt", "1e-2",
+                    "--solver", solver]
+            ok = runner.invoke(
+                main, argv + ["--budget", str(need), "--out-dir", str(tmp_path / solver / "ok")]
+            )
+            assert ok.exit_code == 0
+            out = tmp_path / solver / "short"
+            short = runner.invoke(main, argv + ["--budget", str(need - 1), "--out-dir", str(out)])
+            assert short.exit_code == 1
+            aborted = json.loads((out / "aborted.json").read_text())
+            assert aborted["truncated"] is True
+            assert aborted["error"].startswith("BudgetExceededError")
 
     @pytest.mark.parametrize("data", ["gaussian:1.2", "gaussian:20"], ids=["diverging", "overflow"])
     def test_picard_abort_is_guard_abort(self, runner, tmp_path, data):
@@ -231,6 +252,26 @@ class TestNlsRun:
         aborted = json.loads((tmp_path / "aborted.json").read_text())
         assert aborted["truncated"] is True
         assert aborted["error"].startswith("NonContractionError")
+
+
+#: A bad size, exponent or horizon, each passed last with its flag.
+BAD_VALUES = [
+    ["strichartz-sweep", "--N", "1,2,4,8", "--p", "0"],
+    ["strichartz-sweep", "--N", "1,2,4,8", "--p", "0.5"],
+    ["strichartz-sweep", "--N", "1,2,4,8", "--p", "-2"],
+    ["strichartz-sweep", "--N", "1,2,4,8", "--p", "nan"],
+    ["strichartz-sweep", "--N", "1,2,4,8", "--p", "8", "--n-t", "0"],
+    ["strichartz-sweep", "--N", "1,2,4,8", "--p", "8", "--n-x", "0"],
+    ["bilinear-check", "--N1", "2", "--n-t", "0"],
+    ["bilinear-check", "--N1", "2", "--n-x", "-1"],
+    ["bilinear-check", "--N1", "2", "--T", "0"],
+    ["bilinear-check", "--N1", "2", "--T", "-1"],
+    ["bilinear-check", "--N1", "2", "--T", "nan"],
+    ["bilinear-check", "--N1", "2", "--T", "1,inf"],
+    ["dispersive-check", "--N", "8", "--n-t", "-5"],
+    ["dispersive-check", "--N", "8", "--n-x", "0"],
+    ["kernel", "--N", "4", "--n-x", "0"],
+]
 
 
 class TestUsageErrors:
@@ -252,7 +293,9 @@ class TestUsageErrors:
             ["nls-run", "--T", "0.01", "--dt", "-1e-3"],
             ["nls-run", "--N", "0"],
             ["nls-run", "--N", "-2"],
-        ],
+            ["nls-run", "--T", "inf", "--dt", "1e-3"],
+            ["nls-run", "--T", "nan", "--dt", "1e-3"],
+        ] + BAD_VALUES,
     )
     def test_bad_input_exits_2(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
@@ -261,6 +304,13 @@ class TestUsageErrors:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output
+
+    @pytest.mark.parametrize("argv", BAD_VALUES)
+    def test_bad_value_names_its_flag(self, runner, tmp_path, argv):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert f"'{argv[-2]}'" in result.output
 
 
 class TestDeterminism:
