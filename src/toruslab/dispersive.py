@@ -7,8 +7,10 @@ cutoff profile and on the magnitudes of the torus weights.
 
 Grid sweeps exploit the coordinate product structure of the kernel: the max of
 |K(t, .)| over a product grid equals the product over coordinates of 1-d slice
-maxima, which keeps the sweeps cheap even at d = 2.  The 1-d slices compute
-their phases for k >= 0 only (the symbol is even in k).
+maxima, which keeps the sweeps cheap even at d = 2.  The 1-d slices build
+their phases for k >= 0 only (the symbol is even in k) by a real-arithmetic
+recurrence, with no exp per (t, k), and take the max over half the x-grid
+(the kernel is even in x); see propagator.kernel_axis_max_abs.
 
 check_dispersive sweeps the kernel once per N, on the union of the stratified
 grid and the Farey midpoints: the off-arc sup uses the off-arc times of the

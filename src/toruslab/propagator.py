@@ -79,39 +79,68 @@ def _kernel_axis_symbol(N: int) -> tuple[np.ndarray, np.ndarray]:
     return k, bump(k / N)
 
 
+def _axis_phases(ts: np.ndarray, theta: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of w_k e(-t theta k^2): row k = 0..w.size-1, one column per t.
+
+    The cosine and sine of -2 pi theta t give e(-t theta) once per time; then
+    d_k = d_{k-1} e(-2 t theta) and c_k = c_{k-1} d_k.  Each complex product
+    is four real multiplies and two adds, each correctly rounded per element,
+    so a time's phases do not depend on the other times in the block.
+    """
+    ang = ts * (-2.0 * np.pi * theta)
+    c1, s1 = np.cos(ang), np.sin(ang)
+    step_re, step_im = c1 * c1 - s1 * s1, 2.0 * c1 * s1
+    re, im = np.empty((w.size, ts.size)), np.empty((w.size, ts.size))
+    re[0], im[0] = 1.0, 0.0
+    d_re, d_im = c1, s1
+    for k in range(1, w.size):
+        if k > 1:
+            d_re, d_im = d_re * step_re - d_im * step_im, d_re * step_im + d_im * step_re
+        re[k] = re[k - 1] * d_re - im[k - 1] * d_im
+        im[k] = re[k - 1] * d_im + im[k - 1] * d_re
+    re *= w[:, None]
+    im *= w[:, None]
+    return re, im
+
+
 def kernel_axis_max_abs(
-    ts: np.ndarray, N: int, theta: float, n_x: int, chunk: int = 4096
+    ts: np.ndarray, N: int, theta: float, n_x: int, *, chunk: int | None = None
 ) -> np.ndarray:
     """max over the x-grid of the 1-d kernel slice, per time sample (batched FFT).
 
-    The symbol bump(k/N) e^{-2 pi i t theta k^2} is even in k bit for bit, so
-    the phases are computed for k = 0..2N only, in place in one FFT buffer, and
-    mirrored onto the slots of k = -2N..-1; the gap between is zeroed.  The
-    buffer is transformed in place and, with the modulus buffer, allocated
-    once per call.
+    The symbol bump(k/N) e(-t theta k^2) is even in k, so its phases are built
+    for k = 0..2N only (_axis_phases: a real-arithmetic recurrence, no exp per
+    (t, k)) and mirrored onto the slots of k = -2N..-1 of the FFT buffer; the
+    gap between is zeroed.  Each time's maximum is the same bits however the
+    times are chunked, and the phases err by at most about (2N)^2 machine
+    epsilons relative, as exp of the rounded argument t theta k^2 did.  K(t, .)
+    is even in x, so the max is taken over m = 0..n_x//2.  FFT chunks (chunk
+    rows, _auto_chunk(n_x) by default) and the k-major phase blocks (about
+    _auto_chunk(2N+1) rows) are cache-sized, so no buffer grows with ts.size.
     """
     if n_x < 4 * N + 1:
         raise GridTooCoarseError(f"need n_x >= {4 * N + 1} to hold the symbol, got {n_x}")
-    k, w = _kernel_axis_symbol(N)
-    k, w = k[2 * N :], w[2 * N :]
-    sym = theta * k * k
+    w = _kernel_axis_symbol(N)[1][2 * N :]
+    width, half = 2 * N + 1, n_x // 2 + 1
+    if chunk is None:
+        chunk = _auto_chunk(n_x)
+    block = chunk * max(1, _auto_chunk(width) // chunk)
     out = np.empty(ts.size)
     buf = np.empty((min(chunk, ts.size), n_x), dtype=np.complex128)
-    mod = np.empty(buf.shape)
-    for lo in range(0, ts.size, chunk):
-        tslice = ts[lo : lo + chunk]
-        rows = buf[: tslice.size]
-        head = rows[:, : 2 * N + 1]
-        np.multiply.outer(tslice, sym, out=head)
-        head *= -2j * np.pi
-        np.exp(head, out=head)
-        head *= w
-        rows[:, 2 * N + 1 : n_x - 2 * N] = 0.0
-        rows[:, n_x - 2 * N :] = rows[:, 2 * N : 0 : -1]
-        vals = _fft.ifft(rows, axis=1, overwrite_x=True)
-        vals *= n_x
-        np.abs(vals, out=mod[: tslice.size])
-        np.max(mod[: tslice.size], axis=1, out=out[lo : lo + chunk])
+    parts = buf.view(np.float64).reshape(buf.shape + (2,))
+    mod = np.empty((buf.shape[0], half))
+    for blo in range(0, ts.size, block):
+        re, im = _axis_phases(ts[blo : blo + block], theta, w)
+        for lo in range(0, re.shape[1], chunk):
+            rows = buf[: min(chunk, re.shape[1] - lo)]
+            n = rows.shape[0]
+            parts[:n, :width, 0] = re[:, lo : lo + n].T
+            parts[:n, :width, 1] = im[:, lo : lo + n].T
+            rows[:, width : n_x - 2 * N] = 0.0
+            rows[:, n_x - 2 * N :] = rows[:, 2 * N : 0 : -1]
+            vals = _fft.ifft(rows, axis=1, norm="forward", overwrite_x=True)
+            np.abs(vals[:, :half], out=mod[:n])
+            np.max(mod[:n], axis=1, out=out[blo + lo : blo + lo + n])
     return out
 
 

@@ -7,12 +7,15 @@ polynomial whose spatial band is at most 2mB per axis, B the largest |k_j| in
 the support; when every theta_j is an integer u is 1-periodic in t and the
 temporal band is at most mS, S the spread of sum_j theta_j k_j^2 over the
 support.  So n_x = next_fast_len(2mB+1) and n_t = mS+1 give the norm exactly
-on [0, 1) (a bilinear product adds the factors' bands and spreads).  In every
-other case (odd or fractional p, a non-integer weight, a horizon other than
-1, or exact sizes costing more cells than the resolution rule) the sizes
+on [0, 1) (a bilinear product adds the factors' bands and spreads).  The
+spatial band does not depend on theta or the horizon, so for even p with a
+non-integer weight or a horizon other than 1 the band-exact n_x is used with
+the resolution rule's n_t.  In every other case (odd or fractional p, or
+band-exact sizes costing more cells than the resolution rule) the sizes
 resolve the fastest quadratic phase with 16 time samples per period, with
-n_x = 8N in d = 1 and 4N otherwise (max(64, 2N1) for bilinear products), and
-the value is an approximation.  Each choice reports whether it is exact.
+n_x = 8N in d = 1 and 4N otherwise (max(64, 2N1) for bilinear products).
+Only an even p on integer weights over [0, 1) is exact; the other values are
+approximations, and each choice reports whether it is exact.
 Every space-time integral streams through one reducer (_stream) over time
 chunks and never materializes the space-time array; tensor-product bilinear
 data runs as one 1-d field per coordinate.
@@ -44,6 +47,15 @@ def _check_exponent(p) -> None:
     """The exponent rule of every space-time norm: p >= 1 or infinity (NaN fails)."""
     if not p >= 1:
         raise ValueError(f"exponent must be >= 1 or infinity, got {p}")
+
+
+def _check_grid(horizon: float = 1.0, n_t: int | None = None, n_x: int | None = None) -> None:
+    """The size rule of every space-time quadrature: a finite horizon > 0, sizes >= 1."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    for name, size in (("n_t", n_t), ("n_x", n_x)):
+        if size is not None and not size >= 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
 
 
 def spacetime_lp_norm(samples: np.ndarray, p) -> float:
@@ -99,6 +111,7 @@ def _chunk_sum(chunks) -> float:
 def evolved_lp_norm(f: FrequencyField, p: float, *, n_t: int, n_x: int) -> float:
     """Streaming L^p_{t,x} norm of the free evolution of f on [0, 1), p >= 1 or infinity."""
     _check_exponent(p)
+    _check_grid(n_t=n_t, n_x=n_x)
     ts = np.arange(n_t) * (1.0 / n_t)
     if p == np.inf:
         chunks = _stream([(f,)], ts, n_x, lambda u: _modulus_power(u, 2.0), over_x=np.max)
@@ -138,36 +151,36 @@ def _quadrature_sizes(
     """(n_t, n_x, exact) for the L^p_{t,x} norm of a product of free evolutions.
 
     extents holds each factor's (band, spread): one factor for a norm, two for
-    a bilinear product (p = 2).  Band-exact sizes are used when p is even,
-    every theta_j is an integer, the horizon is 1 and they need no more cells
-    than the resolution rule at scale N (see the module docstring), which is
-    used otherwise.  Explicit sizes win; exact says whether the sizes used
+    a bilinear product (p = 2).  For even p the band-exact n_x is used, with
+    the band-exact n_t when every theta_j is an integer and the horizon is 1
+    and with the resolution rule's n_t otherwise, whenever that needs no more
+    cells than the resolution rule at scale N (see the module docstring),
+    which is used otherwise.  Explicit sizes win and must be >= 1, as the
+    horizon must be finite and > 0; exact says whether the sizes used
     integrate the trigonometric polynomial |u|^p exactly.
     """
+    _check_grid(horizon, n_t, n_x)
     d = geometry.d
     band = sum(b for b, _ in extents)
     spread = sum(s for _, s in extents)
-    resolvable = (
-        float(p).is_integer()
-        and int(p) % 2 == 0
-        and all(float(th).is_integer() for th in geometry.theta)
-        and horizon == 1.0
-    )
-    m = int(p) // 2 if resolvable else 0
+    even = float(p).is_integer() and int(p) % 2 == 0
+    periodic = all(float(th).is_integer() for th in geometry.theta) and horizon == 1.0
+    m = int(p) // 2 if even else 0
     need_t, need_x = m * int(round(spread)) + 1, 2 * m * band + 1
-    tight_t, tight_x = need_t, next_fast_len(need_x)
     if len(extents) == 1:
         loose_t, loose_x = time_sample_count(N, geometry), 8 * N if d == 1 else 4 * N
     else:
         loose_t = max(int(math.ceil(time_sample_count(N, geometry) * horizon)), 64)
         loose_x = max(64, 2 * N)
-    if resolvable and tight_t * tight_x**d <= loose_t * loose_x**d:
+    # the spatial band does not depend on theta or the horizon; the temporal one does
+    tight_t, tight_x = need_t if periodic else loose_t, next_fast_len(need_x)
+    if even and tight_t * tight_x**d <= loose_t * loose_x**d:
         default_t, default_x = tight_t, tight_x
     else:
         default_t, default_x = loose_t, loose_x
     n_t = default_t if n_t is None else int(n_t)
     n_x = default_x if n_x is None else int(n_x)
-    return n_t, n_x, bool(resolvable and n_t >= need_t and n_x >= need_x)
+    return n_t, n_x, bool(even and periodic and n_t >= need_t and n_x >= need_x)
 
 
 def critical_exponent(d: int) -> float:
@@ -417,6 +430,8 @@ def bilinear_table(
 
     Each record carries the quadrature it used: n_t, n_x and exact.
     """
+    for horizon in horizons:
+        _check_grid(horizon, n_t, n_x)
     rng = np.random.default_rng(seed)
     records = []
     for N1 in N1_list:

@@ -1,13 +1,16 @@
 """Kernel refocusing envelope, arc splitting, and the Farey-train form check."""
 
+import cmath
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from toruslab.arithmetic import MajorArcParams, farey_atoms_float, in_major_arc, major_arc_mask
 from toruslab import dispersive
-from toruslab.core import TorusGeometry
+from toruslab.core import TorusGeometry, bump
 from toruslab.dispersive import (
     BilinearFormCheckParams,
     atom_bump_train,
@@ -24,6 +27,8 @@ from toruslab.dispersive import (
 )
 from toruslab.errors import GridTooCoarseError
 from toruslab.propagator import kernel_axis_max_abs, kernel_direct
+
+from test_propagator import phase_tolerance
 
 IRRATIONAL = 0.7071067811865476
 
@@ -84,6 +89,101 @@ class TestCheckDispersive:
         r8 = check_dispersive(8, g).max_ratio_kernel_vs_bound
         r16 = check_dispersive(16, g).max_ratio_kernel_vs_bound
         assert max(r8, r16) / min(r8, r16) < 2.0
+
+
+def gauss_sum(a: int, l: int, q: int) -> complex:
+    """G(a, l; q) = sum_b e((-a b^2 + l b)/q), each phase reduced exactly mod q."""
+    return sum(cmath.exp(2j * math.pi * ((-a * b * b + l * b) % q) / q) for b in range(q))
+
+
+def refocusing_fractions(qmax: int = 16) -> list[tuple[int, int]]:
+    """Every reduced a/q in [0, 1) with q <= qmax."""
+    return [(a, q) for q in range(1, qmax + 1) for a in range(q) if math.gcd(a, q) == 1]
+
+
+@functools.lru_cache(maxsize=None)
+def difference_norms(N: int, order: int = 10) -> tuple[float, ...]:
+    """||Delta^s w||_1 for s = 0..order of the float weights w_k = bump(k/N), differenced exactly."""
+    k = np.arange(-2 * N - order, 2 * N + order + 1)
+    w = [Fraction(float(v)) for v in bump(k / N)]
+    norms = []
+    for _ in range(order + 1):
+        norms.append(float(sum(abs(v) for v in w)))
+        w = [b - a for a, b in zip(w, w[1:])]
+    return tuple(norms)
+
+
+def gauss_sum_slack(N: int, q: int) -> tuple[float, float]:
+    """Relative slack (above, below) of max_x |K_N(a/q, x)| against (3N/q) max_l |G(a, l; q)|.
+
+    Expanding the q-periodic e(-a k^2/q) in its discrete Fourier series gives,
+    exactly, K(a/q, x) = (1/q) sum_l G(a, l; q) K_0(x - l/q), where
+    K_0 = K(0, .) = sum_k w_k e(k .) is real, even and at most sum_k w_k = 3N.
+    Summing by parts s times, |K_0(y)| <= ||Delta^s w||_1 / (2 sin(pi |y|))^s.
+    Seen from any x, the i-th nearest of the other peaks l/q is at least
+    (2 ceil(i/2) - 1)/(2q) away (above); at a peak on the grid the others sit
+    at j/q (below).  Both depend on N and q alone, and fall fast in N/q.
+    """
+    norms = difference_norms(N)
+
+    def k0_bound(y):
+        base = 2.0 * math.sin(math.pi * min(y, 1.0 - y))
+        return min(v / base**s for s, v in enumerate(norms))
+
+    above = sum(k0_bound((2 * ((i + 1) // 2) - 1) / (2 * q)) for i in range(1, q))
+    below = sum(k0_bound(j / q) for j in range(1, q))
+    return above / (3 * N), below / (3 * N)
+
+
+class TestGaussSumOracle:
+    """At t = a/q the kernel is a Gauss sum times the t = 0 kernel (ROADMAP item 4)."""
+
+    @pytest.mark.parametrize("q", range(1, 17))
+    def test_gauss_sum_maximum(self, q):
+        # max_l |G(a, l; q)| is sqrt(q) for odd q and sqrt(2q) for even q,
+        # attained at x = l/q in {0, 1/2}, which every even grid holds
+        for a in (a for a in range(q) if math.gcd(a, q) == 1):
+            mags = [abs(gauss_sum(a, l, q)) for l in range(q)]
+            want = math.sqrt(q if q % 2 else 2 * q)
+            assert max(mags) == pytest.approx(want, rel=1e-12)
+            assert any(abs(m - want) <= 1e-12 * want and (2 * l) % q == 0 for l, m in enumerate(mags))
+
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_slice_maxima(self, N):
+        fracs = refocusing_fractions()
+        ts = np.array([a / q for a, q in fracs])
+        got = kernel_axis_max_abs(ts, N, 1.0, 8 * N)
+        for (a, q), m in zip(fracs, got):
+            above, below = gauss_sum_slack(N, q)
+            rel = m / (3.0 * N / q * math.sqrt(q if q % 2 else 2 * q)) - 1.0
+            assert -below - phase_tolerance(N) <= rel <= above + phase_tolerance(N), (a, q, rel)
+        # the slack is tight enough that a factor sqrt(2) or a wrong scale fails at once
+        assert max(gauss_sum_slack(N, 16)) < (0.03 if N == 64 else 1e-4)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_envelope_at_refocusing_times(self, d):
+        # the level-64 certificate of a/q (q <= 16 < 64) is a/q itself, so the
+        # envelope is (N / sqrt(q))^d with no distance term
+        g, N = TorusGeometry.square(d), 64
+        fracs = refocusing_fractions()
+        bounds = dispersive_bound_batch(np.array([a / q for a, q in fracs]), N, g)
+        for (a, q), b in zip(fracs, bounds):
+            assert b == pytest.approx((N / math.sqrt(q)) ** d, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_check_dispersive_ratio(self, d):
+        # the swept ratio at a/q tends to 3 (odd q) or 3 sqrt(2) (even q) per coordinate
+        N = 64
+        rep = check_dispersive(N, TorusGeometry.square(d), n_t=256)
+        ts, kmax, bounds = rep.sweep
+        for a, q in refocusing_fractions():
+            i = int(np.searchsorted(ts, a / q))
+            assert ts[i] == a / q
+            above, below = gauss_sum_slack(N, q)
+            eps = phase_tolerance(N)
+            want = (3.0 * math.sqrt(1 if q % 2 else 2)) ** d
+            ratio = kmax[i] / bounds[i]
+            assert want * (1 - below - eps) ** d <= ratio <= want * (1 + above + eps) ** d, (a, q)
 
 
 class TestSharedSweep:

@@ -1,5 +1,7 @@
 """Free evolution unitarity and the two kernel evaluation paths."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,7 @@ class TestKernelGrid:
 
 
 def full_symbol_axis_max_abs(ts, N, theta, n_x):
-    """The slice maxima from the phases of all 4N+1 modes, scattered into one buffer."""
+    """The slice maxima from exp-built phases of all 4N+1 modes, scattered into one buffer."""
     k = np.arange(-2 * N, 2 * N + 1, dtype=float)
     rows = bump(k / N) * np.exp(-2j * np.pi * np.outer(ts, theta * k * k))
     buf = np.zeros((ts.size, n_x), dtype=np.complex128)
@@ -167,14 +169,47 @@ def full_symbol_axis_max_abs(ts, N, theta, n_x):
     return np.max(np.abs(_fft.ifft(buf, axis=1) * n_x), axis=1)
 
 
+def exact_phase_axis_max_abs(ts, N, theta, n_x):
+    """The slice maxima from exact phases: t theta k^2 reduced mod 1 in rationals, then one exp.
+
+    The float t and theta are converted exactly, so each phase is the correctly
+    reduced argument of the symbol the floats denote, rounded once.
+    """
+    k = np.arange(-2 * N, 2 * N + 1)
+    out = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        tt = Fraction(float(t)) * Fraction(float(theta))
+        frac = np.array([float(tt * int(kk * kk) % 1) for kk in k])
+        row = bump(k / N) * np.exp(-2j * np.pi * frac)
+        buf = np.zeros(n_x, dtype=np.complex128)
+        buf[k % n_x] = row
+        out[i] = np.max(np.abs(np.fft.fft(buf)))
+    return out
+
+
+def phase_tolerance(N):
+    """Relative tolerance of a slice maximum against exact phases: 4 (2N)^2 machine epsilons."""
+    return 4.0 * (2 * N) ** 2 * np.finfo(float).eps
+
+
 class TestKernelAxisMaxAbs:
     @pytest.mark.parametrize("theta", [1.0, IRRATIONAL, 0.3])
     @pytest.mark.parametrize("N, n_x", [(1, 5), (2, 16), (4, 17), (4, 23), (8, 33), (8, 64), (16, 131)])
     def test_matches_full_symbol(self, N, theta, n_x):
-        # the k >= 0 phases mirrored onto k < 0 are the full symbol, bit for bit
+        # the full symbol from recurrence-built phases against phases reduced
+        # exactly before one exp
         ts = np.concatenate([np.arange(257) / 256, np.random.default_rng(N).random(300)])
-        want = full_symbol_axis_max_abs(ts, N, theta, n_x)
-        assert np.array_equal(kernel_axis_max_abs(ts, N, theta, n_x), want)
+        want = exact_phase_axis_max_abs(ts, N, theta, n_x)
+        got = kernel_axis_max_abs(ts, N, theta, n_x)
+        assert np.max(np.abs(got - want) / want) <= phase_tolerance(N)
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64])
+    def test_time_zero_bit_for_bit(self, N):
+        # at t = 0 every phase is exactly 1, so the default 8N grid gives the
+        # bits of the exp-built full symbol, and the max is the symbol's sum 3N
+        got = kernel_axis_max_abs(np.zeros(1), N, IRRATIONAL, 8 * N)
+        assert np.array_equal(got, full_symbol_axis_max_abs(np.zeros(1), N, IRRATIONAL, 8 * N))
+        assert got[0] == pytest.approx(3 * N, rel=1e-14)
 
     @pytest.mark.parametrize("size", [0, 1, 7, 8])
     def test_chunk_edges(self, size):
@@ -182,7 +217,18 @@ class TestKernelAxisMaxAbs:
         ts = np.random.default_rng(size).random(size)
         got = kernel_axis_max_abs(ts, N, IRRATIONAL, n_x, chunk=chunk)
         assert got.shape == (size,)
-        assert np.array_equal(got, full_symbol_axis_max_abs(ts, N, IRRATIONAL, n_x))
+        assert np.array_equal(got, kernel_axis_max_abs(ts, N, IRRATIONAL, n_x))
+
+    @pytest.mark.parametrize("theta", [1.0, IRRATIONAL])
+    @pytest.mark.parametrize("N, n_x", [(4, 36), (16, 128)])
+    def test_maxima_do_not_depend_on_batching(self, N, n_x, theta):
+        # more times than one phase block: chunk 7, the default chunk and
+        # one-time calls give each time the same bits
+        ts = np.random.default_rng(N).random(9000) * 3.0 - 1.0
+        batched = kernel_axis_max_abs(ts, N, theta, n_x)
+        assert np.array_equal(kernel_axis_max_abs(ts, N, theta, n_x, chunk=7), batched)
+        for i in range(0, ts.size, 331):
+            assert np.array_equal(kernel_axis_max_abs(ts[i : i + 1], N, theta, n_x), batched[i : i + 1])
 
     def test_guard(self):
         with pytest.raises(GridTooCoarseError):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
 from toruslab.propagator import _auto_chunk, time_sample_count
@@ -258,6 +259,32 @@ class TestQuadratureSizes:
                     loose_t = max(math.ceil(time_sample_count(N1, g3) * T), 64)
                     assert n_t * n_x**3 <= loose_t * max(64, 2 * N1) ** 3
 
+    def test_irrational_takes_band_exact_space_grid(self):
+        # the spatial band 2mB does not depend on theta: where next_fast_len(2mB+1)
+        # fits under the resolution rule's cells it is used, with that rule's n_t
+        g = TorusGeometry(1, (IRRATIONAL,))
+        for N in (4, 8):
+            f = sweep_data("flat", N, g)
+            n_t, n_x, exact = _quadrature_sizes([_field_extent(f)], 6, N, g)
+            assert (n_t, n_x, exact) == (time_sample_count(N, g), next_fast_len(6 * N + 1), False)
+            assert n_x < 8 * N
+            fine = evolved_lp_norm(f, 6, n_t=n_t, n_x=4 * n_x)
+            assert evolved_lp_norm(f, 6, n_t=n_t, n_x=n_x) == pytest.approx(fine, rel=1e-13)
+            char = sweep_data("character", N, g)
+            assert _quadrature_sizes([_field_extent(char)], 6, N, g)[:2] == (n_t, 1)
+
+    def test_short_horizon_takes_band_exact_space_grid(self):
+        g = TorusGeometry.square(3)
+        axes_f = [band_axis_coeffs("flat", 16)] * 3
+        axes_h = [band_axis_coeffs("flat", 8)] * 3
+        extents = [_axes_extent(axes_f, g), _axes_extent(axes_h, g)]
+        n_t, n_x, exact = _quadrature_sizes(extents, 2, 16, g, horizon=0.25)
+        assert n_t == max(math.ceil(time_sample_count(16, g) * 0.25), 64)
+        assert n_x == next_fast_len(2 * (16 + 8) + 1) < 64 and not exact
+        ratio = bilinear_ratio_tensor(axes_f, 16, axes_h, 8, g, horizon=0.25)
+        fine = bilinear_ratio_tensor(axes_f, 16, axes_h, 8, g, horizon=0.25, n_t=n_t, n_x=4 * n_x)
+        assert ratio == pytest.approx(fine, rel=1e-13)
+
     def test_bilinear_table_records_quadrature(self):
         g = TorusGeometry.square(3)
         records = bilinear_table([4], (1.0, 0.5), g, data="character")
@@ -339,6 +366,39 @@ class TestBilinearRatio:
         expected = norm / (2.0 ** 0.5 * sobolev_norm(f, 0) * sobolev_norm(h, 0))
         ratio = bilinear_ratio(f, 4, h, 2, g, n_t=n_t, n_x=n_x)
         assert ratio == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("horizon", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_horizon_rejected(self, horizon):
+        # each library path names the argument; a zero horizon used to give ratio 0
+        g = self.geometry()
+        axes = [band_axis_coeffs("flat", 2)] * 3
+        f = tensor_field(axes, g)
+        calls = [
+            lambda: bilinear_ratio(f, 2, f, 2, g, horizon=horizon),
+            lambda: bilinear_ratio_tensor(axes, 2, axes, 2, g, horizon=horizon),
+            lambda: bilinear_table([2], (1.0, horizon), g),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="horizon"):
+                call()
+
+    @pytest.mark.parametrize("name", ["n_t", "n_x"])
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_bad_size_rejected(self, name, size):
+        # evolved_lp_norm(..., n_t=0) used to raise ZeroDivisionError
+        g = self.geometry()
+        axes = [band_axis_coeffs("flat", 2)] * 3
+        f = tensor_field(axes, g)
+        sizes = {"n_t": 16, "n_x": 24, name: size}
+        calls = [
+            lambda: evolved_lp_norm(f, 4.0, **sizes),
+            lambda: bilinear_ratio(f, 2, f, 2, g, **sizes),
+            lambda: bilinear_ratio_tensor(axes, 2, axes, 2, g, **sizes),
+            lambda: bilinear_table([2], (1.0,), g, **sizes),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=name):
+                call()
 
     def test_band_mismatch_rejected(self):
         g = self.geometry()
