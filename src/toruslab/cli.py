@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, _fft
+from . import __version__
 from .core import PHI_PROFILE_ID, FrequencyField, TorusGeometry
 from .arithmetic import (
     MajorArcParams,
@@ -106,22 +106,15 @@ def _guard_abort(out_dir: Path | None, config: dict, seed, exc: Exception) -> No
 
 
 class _Group(click.Group):
-    """Reports a plain ValueError as a usage error (exit 2); guard errors keep exit 1.
-
-    A command's --threads sets the FFT worker count for that command only: the
-    previous count is restored when it exits, however it exits.
-    """
+    """Reports a plain ValueError as a usage error (exit 2); guard errors keep exit 1."""
 
     def invoke(self, ctx):
-        workers = _fft._WORKERS
         try:
             return super().invoke(ctx)
         except GUARD_ERRORS:
             raise
         except ValueError as exc:
             raise click.UsageError(str(exc), ctx) from exc
-        finally:
-            _fft._WORKERS = workers
 
 
 @click.group(cls=_Group)
@@ -188,13 +181,11 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
 @click.option("--sigma", type=float, default=0.1, show_default=True)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--dump-grid", is_flag=True, default=False,
               help="also write per-time-sample kernel/bound CSVs (can be large)")
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, threads, dump_grid, out_dir):
+def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, dump_grid, out_dir):
     """Kernel-vs-bound max ratio and off-arc sup, per cutoff scale."""
-    _fft.set_workers(threads)
     g = _parse_theta(dim, theta)
     n_list = _parse_int_list(cutoffs)
     config = {
@@ -230,13 +221,11 @@ def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, threads, dump_grid, o
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--emit-plot", is_flag=True, default=False,
               help="also write a gnuplot script for the sweep CSV")
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, threads, emit_plot, out_dir):
+def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, emit_plot, out_dir):
     """Fit the growth exponent of the space-time norm against the cutoff scale."""
-    _fft.set_workers(threads)
     g = _parse_theta(dim, theta)
     n_list = _parse_int_list(cutoffs)
     config = {
@@ -285,11 +274,9 @@ def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, 
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def bilinear_check(dim, theta, n1_list, horizons, data_class, n_x, n_t, seed, threads, out_dir):
+def bilinear_check(dim, theta, n1_list, horizons, data_class, n_x, n_t, seed, out_dir):
     """Bilinear product ratios over dyadic scale pairs and horizons."""
-    _fft.set_workers(threads)
     g = _parse_theta(dim, theta)
     n1 = _parse_int_list(n1_list)
     config = {
@@ -345,14 +332,12 @@ def _parse_data_spec(spec: str, g: TorusGeometry, box: int, seed: int) -> Freque
 @click.option("--solver", type=click.Choice(["picard", "splitstep"]), default="splitstep", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--dump-fields", is_flag=True, default=False)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--budget", type=int, default=1 << 24, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fields, threads, budget, out_dir):
+def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fields, budget, out_dir):
     """Run the critical-power solver and write per-step conservation diagnostics."""
     if not 0 < dt <= horizon < np.inf:
         raise click.UsageError(f"need 0 < dt <= T < inf, got dt={dt}, T={horizon}")
-    _fft.set_workers(threads)
     d = int(dim)
     g = _parse_theta(d, theta)
     config = {

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fft
 from .arithmetic import (
     MajorArcParams,
     dirichlet_approx_batch,
@@ -365,7 +366,7 @@ def bilinear_form_check(
     train = atom_bump_train(params.Q, T, xs)
     e_ind = _indicator(E_set, n_quad)
     f_ind = _indicator(F_set, n_quad)
-    conv = np.fft.ifft(np.fft.fft(train) * np.fft.fft(f_ind)).real
+    conv = _fft.ifft(_fft.fft(train) * _fft.fft(f_ind)).real
     lhs = float(e_ind @ conv) / n_quad**2
     meas_e = float(np.mean(e_ind))
     meas_f = float(np.mean(f_ind))

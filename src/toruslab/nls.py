@@ -101,9 +101,6 @@ class Trajectory:
         if len(self.states) != self.times.size:
             raise ValueError("one state per time sample required")
 
-    def state(self, i: int) -> FrequencyField:
-        return self.states[i]
-
     def coeff_matrix(self) -> np.ndarray:
         return np.stack([s.coeffs.ravel() for s in self.states])
 
@@ -116,16 +113,18 @@ def grid_size(d: int, M: int) -> int:
 def live_cells(d: int, M: int, T: float, dt: float, solver: str) -> int:
     """Complex cells a solve of [0, T] at step dt holds at its peak (nls-run --budget).
 
-    Split-step: its trajectory and one grid.  Picard: ten trajectories (both
-    flow phases, the iterate, the last correction, the nonlinearity, its
-    flowed-back copy, the integral and the trapezoid sum's three temporaries)
-    and four grids per row of a nonlinearity batch (measured peak about 3.2).
+    Split-step: its trajectory.  Picard: ten trajectories (both flow phases,
+    the iterate, the last correction, the nonlinearity, its flowed-back copy,
+    the integral and the trapezoid sum's three temporaries).  Both: four grids
+    per row of a batch (the diagnostics' or the nonlinearity's), which also
+    covers a split-step half-step.  Measured with tracemalloc on top of the
+    trajectories: a half-step 3.1-3.5 grids, a batch 1.6-2.6 grids per row
+    for split-step and about 3.2 for Picard.
     """
     n, n_states = grid_size(d, M), max(int(round(T / dt)), 1) + 1
     trajectory = n_states * (2 * M + 1) ** d
-    if solver == "picard":
-        return 10 * trajectory + 4 * min(_batch_rows(d, n), n_states) * n**d
-    return trajectory + n**d
+    grids = 4 * min(_batch_rows(d, n), n_states) * n**d
+    return (10 * trajectory if solver == "picard" else trajectory) + grids
 
 
 def _batch_rows(d: int, n_grid: int) -> int:
@@ -304,6 +303,7 @@ def compute_diagnostics(traj: Trajectory, problem: NlsProblem) -> dict:
             out["energy"][i] = _energy(state, vals, strength)
             out["h1"][i] = sobolev_norm(state, 1)
             out["linf"][i] = float(np.max(np.abs(vals)))
+        del grids, vals  # freed before the next batch is synthesized, not after
     return out
 
 
@@ -448,17 +448,15 @@ def split_step_evolve(
         max_trunc = max(max_trunc, float(trunc[0]))
         return rows[0]
 
-    u = problem.u0.coeffs.ravel().copy()
+    U = np.empty((n_steps + 1, problem.u0.coeffs.size), dtype=np.complex128)
+    U[0] = u = problem.u0.coeffs.ravel()
     h1_initial = float(np.sqrt(np.sum(weights * np.abs(u) ** 2)))
-    rows = [u.copy()]
-    times = [0.0]
     flagged = False
-    for i in range(n_steps):
+    for i in range(1, n_steps + 1):
         u = half_nonlinear(u)
         u = u * lin_phase
         u = half_nonlinear(u)
-        rows.append(u.copy())
-        times.append((i + 1) * step)
+        U[i] = u
         h1 = float(np.sqrt(np.sum(weights * np.abs(u) ** 2)))
         if h1_initial > 0 and h1 > BLOWUP_FACTOR * h1_initial:
             flagged = True
@@ -466,7 +464,7 @@ def split_step_evolve(
     info = {"solver": "split-step", "dt": step, "max_truncated_energy": max_trunc}
     if flagged:
         info["flag"] = "blowup"
-    return _wrap_trajectory(problem, np.asarray(times), np.stack(rows), info)
+    return _wrap_trajectory(problem, np.arange(i + 1) * step, U[: i + 1], info)
 
 
 def conservation_report(traj: Trajectory) -> dict:

@@ -169,30 +169,34 @@ def _flat_positions(d: int, M: int, n_x: int) -> np.ndarray:
 def _synthesize(rows: np.ndarray, d: int, M: int, n_x: int) -> np.ndarray:
     """Grid values on the n_x^d grid of each row of box coefficients (batched inverse FFT).
 
-    When the grid holds the box (n_x >= 2M+1) the box is padded and
-    inverse-transformed one axis at a time, in the order ifftn over axes
-    1..d uses, so only the pencils that can hold a nonzero value are
-    transformed.  An all-zero pencil transforms to zero and the first pass
-    carries ifftn's 1/n_x^d factor, so the values are those of one ifftn over
-    the zero-padded grid.  Modes beyond the grid's unambiguous band fold onto
-    their aliases, which is the correct pointwise sampling semantics.
+    The grid is inverse-transformed one axis at a time, axes 1..d in turn,
+    and the first pass carries the 1/n_x^d factor, so the values are those of
+    scipy's ifftn over the full grid.  When the grid holds the box
+    (n_x >= 2M+1) each axis is zero-padded just before its pass, so only the
+    pencils that can hold a nonzero value are transformed (an all-zero pencil
+    transforms to zero).  Otherwise the box is first scatter-added onto the
+    full grid: modes beyond the grid's unambiguous band fold onto their
+    aliases, which is the correct pointwise sampling semantics.
     """
     cells = n_x**d
     lead = (rows.shape[0],)
-    if n_x < 2 * M + 1:
-        buf = np.zeros(lead + (cells,), dtype=np.complex128)
-        np.add.at(buf, (slice(None), _flat_positions(d, M, n_x)), rows)
-        vals = _fft.ifftn(buf.reshape(lead + (n_x,) * d), axes=tuple(range(1, d + 1)))
-        return vals * cells
-    vals = rows.reshape(lead + (2 * M + 1,) * d)
+    folded = n_x < 2 * M + 1
+    if folded:
+        vals = np.zeros(lead + (cells,), dtype=np.complex128)
+        np.add.at(vals, (slice(None), _flat_positions(d, M, n_x)), rows)
+        vals = vals.reshape(lead + (n_x,) * d)
+    else:
+        vals = rows.reshape(lead + (2 * M + 1,) * d)
     for axis in range(1, d + 1):
-        head = (slice(None),) * axis
-        buf = np.zeros(vals.shape[:axis] + (n_x,) + vals.shape[axis + 1 :], dtype=np.complex128)
-        buf[head + (slice(0, M + 1),)] = vals[head + (slice(M, None),)]
-        buf[head + (slice(n_x - M, None),)] = vals[head + (slice(0, M),)]
-        vals = _fft.ifft(buf, axis=axis, norm="forward", overwrite_x=True)
+        if not folded:
+            head = (slice(None),) * axis
+            buf = np.zeros(vals.shape[:axis] + (n_x,) + vals.shape[axis + 1 :], dtype=np.complex128)
+            buf[head + (slice(0, M + 1),)] = vals[head + (slice(M, None),)]
+            buf[head + (slice(n_x - M, None),)] = vals[head + (slice(0, M),)]
+            vals = buf
+        vals = _fft.ifft(vals, axis=axis, norm="forward", overwrite_x=True)
         if axis == 1:
-            # pocketfft scales each component by 1/n_x^d computed in long double
+            # as scipy's ifftn: each component times 1/n_x^d computed in long double
             parts = vals.view(np.float64)
             parts *= float(1 / np.longdouble(cells))
     vals *= cells

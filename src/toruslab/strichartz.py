@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.fft import next_fast_len
 
+from ._fft import _next_fast_len
 from .core import (
     FrequencyField,
     TorusGeometry,
@@ -173,7 +173,7 @@ def _quadrature_sizes(
         loose_t = max(int(math.ceil(time_sample_count(N, geometry) * horizon)), 64)
         loose_x = max(64, 2 * N)
     # the spatial band does not depend on theta or the horizon; the temporal one does
-    tight_t, tight_x = need_t if periodic else loose_t, next_fast_len(need_x)
+    tight_t, tight_x = need_t if periodic else loose_t, _next_fast_len(need_x)
     if even and tight_t * tight_x**d <= loose_t * loose_x**d:
         default_t, default_x = tight_t, tight_x
     else:

@@ -1,9 +1,10 @@
 """Integral-map and split-step solvers: exact solutions, symmetry, conservation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from toruslab import _fft
 from toruslab.core import FrequencyField, TorusGeometry, _dispersion_symbol, sobolev_norm
 from toruslab.errors import GridTooCoarseError, NonContractionError
 from toruslab.nls import (
@@ -15,6 +16,7 @@ from toruslab.nls import (
     duhamel_apply,
     energy,
     free_trajectory,
+    live_cells,
     mass,
     nonlinearity,
     picard_solve,
@@ -63,7 +65,7 @@ def full_grid_values(u, n):
 def discarded_energy(w, M):
     """Energy of the modes of grid values w outside the box, from one full-grid fftn."""
     n, d = w.shape[0], w.ndim
-    spec = (np.abs(_fft.fftn(w) / n**d) ** 2).ravel()
+    spec = (np.abs(np.fft.fftn(w) / n**d) ** 2).ravel()
     spec[box_flat(d, M, n)] = 0.0
     return float(np.sum(spec))
 
@@ -439,3 +441,22 @@ class TestTruncatedEnergyRecord:
         # totals: mean |w|^2 of the rotated grid (|u|^2) and of |u|^(4/(d-2)) u
         assert 0.0 <= split.info["max_truncated_energy"] <= 1e-14 * amp**2
         assert 0.0 <= picard.info["max_truncated_energy"] <= 1e-14 * amp ** (2 + 8 / (d - 2))
+
+
+class TestLiveCells:
+    @pytest.mark.parametrize("solver", ["splitstep", "picard"])
+    @pytest.mark.parametrize("d, M, T", [(3, 4, 0.05), (3, 8, 0.012), (4, 4, 0.02)])
+    def test_count_bounds_the_traced_peak(self, solver, d, M, T):
+        # nls-run --budget compares live_cells with the budget: the solve's
+        # traced peak, diagnostics included, must not exceed it
+        dt = 1e-3
+        prob = random_problem(d, M, 0.25, seed=3)
+        solve = picard_solve if solver == "picard" else split_step_evolve
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve(prob, T, dt)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * live_cells(d, M, T, dt, solver)
