@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import click
@@ -56,14 +57,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], meta: dict | None = None) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence], meta: dict | None = None) -> None:
+    """Write rows as CSV: floats (numpy's too) as _fmt does, every other value as str.
+
+    Each row is formatted by one %-format string ("%.17g" per float cell, "%s"
+    otherwise), built once per sequence of cell types.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     if meta is not None:
         lines.append("# " + json.dumps(meta, sort_keys=True))
     lines.append(",".join(header))
+    formats: dict[tuple, str] = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds)
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -206,7 +217,8 @@ def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, dump_grid, out_dir):
     _write_json(Path(out_dir) / "dispersive_report.json", payload)
     if dump_grid:
         for r in reports:
-            rows = [[float(t), float(k), float(b), float(k / b)] for t, k, b in zip(*r.sweep)]
+            ts, kmax, bounds = r.sweep
+            rows = zip(*(a.tolist() for a in (ts, kmax, bounds, kmax / bounds)))
             _write_csv(Path(out_dir) / f"dispersive_grid_N{r.N}.csv",
                        ["t", "kernel_max", "bound", "ratio"], rows, meta=_meta(config))
     click.echo(json.dumps(payload["stability"], sort_keys=True))

@@ -7,7 +7,10 @@ cutoff profile and on the magnitudes of the torus weights.
 
 Grid sweeps exploit the coordinate product structure of the kernel: the max of
 |K(t, .)| over a product grid equals the product over coordinates of 1-d slice
-maxima, which keeps the sweeps cheap even at d = 2.  The 1-d slices build
+maxima, which keeps the sweeps cheap even at d = 2.  A 1-d slice maximum
+depends on the phase theta t only through its fold onto [0, 1/4] (even x-grids)
+or [0, 1/2] (odd ones), so each distinct folded phase is transformed once: on
+the theta = 1 grids that is about a quarter of the times.  The slices build
 their phases for k >= 0 only (the symbol is even in k) by a real-arithmetic
 recurrence, with no exp per (t, k), and take the max over half the x-grid
 (the kernel is even in x); see propagator.kernel_axis_max_abs.
@@ -112,7 +115,13 @@ def refocusing_times(N: int, geometry: TorusGeometry, depth: int = SWEEP_FAREY_D
 
 
 def sweep_time_grid(N: int, geometry: TorusGeometry, n_t: int | None = None) -> np.ndarray:
-    """Uniform left-endpoint grid densified with refocusing times."""
+    """Uniform left-endpoint grid densified with refocusing times.
+
+    By default n_t = time_sample_count(N, geometry), 16 samples per period of
+    the fastest phase e(-theta_max (2N)^2 t), but capped at SWEEP_TIME_CAP =
+    2^17: with theta_max = 1 the cap leaves 8 samples per period at N = 64, 2
+    at N = 128 and 0.5 at N = 256.
+    """
     if n_t is None:
         n_t = min(time_sample_count(N, geometry), SWEEP_TIME_CAP)
     base = np.arange(n_t + 1) / n_t

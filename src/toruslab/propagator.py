@@ -35,16 +35,13 @@ def time_sample_count(N: int, geometry: TorusGeometry) -> int:
 
 @dataclass
 class KernelEvaluation:
-    """Kernel values on a uniform spatial grid at one time, plus a point rule."""
+    """Kernel values on a uniform spatial grid at one time."""
 
     N: int
     geometry: TorusGeometry
     t: float
     n_x: int
     values: np.ndarray
-
-    def at(self, x) -> complex:
-        return kernel_direct(self.t, x, self.N, self.geometry)
 
 
 def free_evolve(f: FrequencyField, t: float) -> FrequencyField:
@@ -79,18 +76,18 @@ def _kernel_axis_symbol(N: int) -> tuple[np.ndarray, np.ndarray]:
     return k, bump(k / N)
 
 
-def _axis_phases(ts: np.ndarray, theta: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of w_k e(-t theta k^2): row k = 0..w.size-1, one column per t.
+def _axis_phases(phases: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of w_k e(-s k^2): row k = 0..w.size-1, one column per phase s.
 
-    The cosine and sine of -2 pi theta t give e(-t theta) once per time; then
-    d_k = d_{k-1} e(-2 t theta) and c_k = c_{k-1} d_k.  Each complex product
-    is four real multiplies and two adds, each correctly rounded per element,
-    so a time's phases do not depend on the other times in the block.
+    The cosine and sine of -2 pi s give e(-s) once per phase; then
+    d_k = d_{k-1} e(-2 s) and c_k = c_{k-1} d_k.  Each complex product is four
+    real multiplies and two adds, each correctly rounded per element, so a
+    phase's values do not depend on the other phases in the block.
     """
-    ang = ts * (-2.0 * np.pi * theta)
+    ang = phases * (-2.0 * np.pi)
     c1, s1 = np.cos(ang), np.sin(ang)
     step_re, step_im = c1 * c1 - s1 * s1, 2.0 * c1 * s1
-    re, im = np.empty((w.size, ts.size)), np.empty((w.size, ts.size))
+    re, im = np.empty((w.size, phases.size)), np.empty((w.size, phases.size))
     re[0], im[0] = 1.0, 0.0
     d_re, d_im = c1, s1
     for k in range(1, w.size):
@@ -108,29 +105,42 @@ def kernel_axis_max_abs(
 ) -> np.ndarray:
     """max over the x-grid of the 1-d kernel slice, per time sample (batched FFT).
 
-    The symbol bump(k/N) e(-t theta k^2) is even in k, so its phases are built
-    for k = 0..2N only (_axis_phases: a real-arithmetic recurrence, no exp per
-    (t, k)) and mirrored onto the slots of k = -2N..-1 of the FFT buffer; the
+    The grid max depends on the phase s = theta t alone and is unchanged by
+    s -> -s (K(-s, x) = conj K(s, -x)) and by s -> s + 1/2 (e(-k^2/2) = (-1)^k,
+    so K(s + 1/2, x) = K(s, x + 1/2), a shift by n_x/2 grid points).  Each time
+    is therefore folded to r = min(u, P - u), u = fmod(|theta t|, P), with
+    period P = 1/2 for even n_x and P = 1 for odd n_x (where x + 1/2 is off the
+    grid), and one transform runs per distinct r.  fmod and P - u are exact,
+    so r is an exact function of the float theta t, and times that fold onto
+    one r get the same bits; on theta = 1 grids i/n_t that is about a quarter
+    of the transforms.
+
+    The symbol bump(k/N) e(-r k^2) is even in k, so its phases are built for
+    k = 0..2N only (_axis_phases: a real-arithmetic recurrence, no exp per
+    (r, k)) and mirrored onto the slots of k = -2N..-1 of the FFT buffer; the
     gap between is zeroed.  Each time's maximum is the same bits however the
     times are chunked, and the phases err by at most about (2N)^2 machine
-    epsilons relative, as exp of the rounded argument t theta k^2 did.  K(t, .)
-    is even in x, so the max is taken over m = 0..n_x//2.  FFT chunks (chunk
-    rows, _auto_chunk(n_x) by default) and the k-major phase blocks (about
-    _auto_chunk(2N+1) rows) are cache-sized, so no buffer grows with ts.size.
+    epsilons relative.  K(r, .) is even in x, so the max is taken over
+    m = 0..n_x//2.  FFT chunks (chunk rows, _auto_chunk(n_x) by default) and
+    the k-major phase blocks (about _auto_chunk(2N+1) rows) are cache-sized,
+    so no phase buffer grows with ts.size.
     """
     if n_x < 4 * N + 1:
         raise GridTooCoarseError(f"need n_x >= {4 * N + 1} to hold the symbol, got {n_x}")
+    period = 0.5 if n_x % 2 == 0 else 1.0
+    u = np.fmod(np.abs(theta * ts), period)
+    phases, where = np.unique(np.minimum(u, period - u), return_inverse=True)
     w = _kernel_axis_symbol(N)[1][2 * N :]
     width, half = 2 * N + 1, n_x // 2 + 1
     if chunk is None:
         chunk = _auto_chunk(n_x)
     block = chunk * max(1, _auto_chunk(width) // chunk)
-    out = np.empty(ts.size)
-    buf = np.empty((min(chunk, ts.size), n_x), dtype=np.complex128)
+    out = np.empty(phases.size)
+    buf = np.empty((min(chunk, phases.size), n_x), dtype=np.complex128)
     parts = buf.view(np.float64).reshape(buf.shape + (2,))
     mod = np.empty((buf.shape[0], half))
-    for blo in range(0, ts.size, block):
-        re, im = _axis_phases(ts[blo : blo + block], theta, w)
+    for blo in range(0, phases.size, block):
+        re, im = _axis_phases(phases[blo : blo + block], w)
         for lo in range(0, re.shape[1], chunk):
             rows = buf[: min(chunk, re.shape[1] - lo)]
             n = rows.shape[0]
@@ -141,7 +151,7 @@ def kernel_axis_max_abs(
             vals = _fft.ifft(rows, axis=1, norm="forward", overwrite_x=True)
             np.abs(vals[:, :half], out=mod[:n])
             np.max(mod[:n], axis=1, out=out[blo + lo : blo + lo + n])
-    return out
+    return out[where]
 
 
 def kernel_grid(t: float, n_x: int, N: int, geometry: TorusGeometry) -> KernelEvaluation:

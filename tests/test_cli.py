@@ -3,10 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from toruslab.cli import main
+from toruslab.cli import _write_csv, main
 from toruslab.nls import grid_size
 
 
@@ -45,6 +46,29 @@ class TestKernelCommand:
         assert len(csv_lines) > 8
         summary = json.loads((tmp_path / "kernel_summary.json").read_text())
         assert summary["config"]["N"] == 2
+
+
+def per_cell_csv_row(row):
+    """The CSV row as formatted one cell at a time: 17 significant digits for floats, else str."""
+    return ",".join(format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row)
+
+
+class TestCsvWriter:
+    def test_matches_per_cell_formatter(self, tmp_path):
+        # one %-format string per row gives the bytes of formatting each cell
+        cells = [
+            "flat", 3, np.int64(-7), True, 0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+            5e-324, 1e300, -1e300, 0.1, 1 / 3, np.float64(-0.0), np.float64(np.nan),
+            np.float64(-np.inf), np.float64(5e-324), np.float64(2.0 / 3.0), np.float32(0.1),
+        ]
+        rng = np.random.default_rng(0)
+        rows = [[cells[i] for i in rng.integers(0, len(cells), size=5)] for _ in range(200)]
+        rows += [[0.5, 1, "a"], [1, 0.5, "a"], (np.float64(0.25), 2, 0.125)]
+        meta = {"config": {"command": "test"}, "seed": 1}
+        path = tmp_path / "out" / "table.csv"
+        _write_csv(path, ["a", "b", "c", "d", "e"], iter(rows), meta=meta)
+        want = ["# " + json.dumps(meta, sort_keys=True), "a,b,c,d,e", *map(per_cell_csv_row, rows)]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 class TestArithCommands:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from toruslab import _fft
 from toruslab.core import FrequencyField, TorusGeometry, bump, sobolev_norm, synthesize
+from toruslab.dispersive import SWEEP_TIME_CAP, refocusing_times, sweep_time_grid
 from toruslab.errors import GridTooCoarseError
 from toruslab.propagator import (
     _analyze,
@@ -18,6 +20,7 @@ from toruslab.propagator import (
     kernel_direct,
     iter_evolved_grids,
     kernel_grid,
+    time_sample_count,
 )
 
 from test_core import random_field
@@ -132,11 +135,6 @@ class TestKernelGrid:
         # only the k=0 mode contributes to the grid mean
         assert np.mean(ev.values) == pytest.approx(1.0, abs=1e-10)
 
-    def test_point_rule_matches_direct(self):
-        g = TorusGeometry.square(1)
-        ev = kernel_grid(0.25, 16, 2, g)
-        assert ev.at((0.3,)) == pytest.approx(kernel_direct(0.25, (0.3,), 2, g))
-
     def test_spectral_symbol_consistency(self):
         # analyzing the grid kernel back to coefficients recovers exactly the
         # phased projector symbol, tying the kernel to the propagator
@@ -197,11 +195,52 @@ class TestKernelAxisMaxAbs:
     @pytest.mark.parametrize("N, n_x", [(1, 5), (2, 16), (4, 17), (4, 23), (8, 33), (8, 64), (16, 131)])
     def test_matches_full_symbol(self, N, theta, n_x):
         # the full symbol from recurrence-built phases against phases reduced
-        # exactly before one exp
-        ts = np.concatenate([np.arange(257) / 256, np.random.default_rng(N).random(300)])
+        # exactly before one exp, on [0, 1], [-1, 0] and [1, 2], which fold
+        # onto one another
+        base = np.concatenate([np.arange(257) / 256, np.random.default_rng(N).random(300)])
+        ts = np.concatenate([base, -base, 1.0 + base])
         want = exact_phase_axis_max_abs(ts, N, theta, n_x)
         got = kernel_axis_max_abs(ts, N, theta, n_x)
         assert np.max(np.abs(got - want) / want) <= phase_tolerance(N)
+
+    @pytest.mark.parametrize("N, n_x", [(1, 6), (2, 16), (4, 36), (8, 64)])
+    def test_fold_symmetries_even_grid(self, N, n_x):
+        # with theta = 1 and n_x even, t, 1 - t, t + 1/2 and -t fold onto one
+        # phase: K(1/2 + s, x) = K(s, x + 1/2) is a shift by n_x/2 grid points
+        ts = np.arange(257) / 256
+        got = kernel_axis_max_abs(ts, N, 1.0, n_x)
+        for image in (1.0 - ts, ts + 0.5, -ts):
+            assert np.array_equal(kernel_axis_max_abs(image, N, 1.0, n_x), got)
+
+    @pytest.mark.parametrize("N, n_x", [(1, 5), (4, 17), (8, 33)])
+    def test_fold_symmetries_odd_grid(self, N, n_x):
+        # x + 1/2 is off an odd grid, so only t -> -t and t -> 1 - t fold; the
+        # maxima at t + 1/2 are those of their own exact phases
+        ts = np.arange(257) / 256
+        got = kernel_axis_max_abs(ts, N, 1.0, n_x)
+        for image in (1.0 - ts, -ts):
+            assert np.array_equal(kernel_axis_max_abs(image, N, 1.0, n_x), got)
+        shifted = ts + 0.5
+        want = exact_phase_axis_max_abs(shifted, N, 1.0, n_x)
+        assert np.max(np.abs(kernel_axis_max_abs(shifted, N, 1.0, n_x) - want) / want) <= phase_tolerance(N)
+
+    @pytest.mark.parametrize("N", [4, 8, 16])
+    def test_sweep_grid_transforms_a_quarter(self, N, monkeypatch):
+        # on the theta = 1 sweep grid i/n_t (with its refocusing times) the
+        # folded phases of an even grid lie in [0, 1/4]: about n_t/4 rows
+        g = TorusGeometry.square(1)
+        ts = sweep_time_grid(N, g)
+        n_t = min(time_sample_count(N, g), SWEEP_TIME_CAP)
+        rows = []
+        ifft = _fft.ifft
+
+        def counting(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(_fft, "ifft", counting)
+        kernel_axis_max_abs(ts, N, 1.0, 8 * N)
+        assert sum(rows) <= n_t // 4 + refocusing_times(N, g).size + 2
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64])
     def test_time_zero_bit_for_bit(self, N):
