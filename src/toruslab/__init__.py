@@ -13,7 +13,6 @@ from .core import (
     TorusGeometry,
     annular_bump,
     bump,
-    dyadic_range,
     is_dyadic,
     lp_symbol,
     project,
@@ -52,13 +51,11 @@ from .strichartz import (
     bilinear_ratio,
     exponent_sweep,
     spacetime_lp_norm,
-    strichartz_ratio,
 )
 from .nls import (
     NlsProblem,
     Trajectory,
     conservation_report,
-    duhamel_apply,
     energy,
     mass,
     nonlinearity,

@@ -165,11 +165,10 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
         if n_x**dim > budget:
             raise BudgetExceededError(f"{n_x}^{dim} grid cells exceed budget {budget}")
         ev = kernel_grid(time_pt, n_x, cutoff, g)
-        rows = []
-        for idx in np.ndindex(*ev.values.shape):
-            xs = [i / n_x for i in idx]
-            v = ev.values[idx]
-            rows.append([time_pt, *xs, float(v.real), float(v.imag)])
+        # one column per coordinate, then re and im, all in np.ndindex order
+        cols = (np.indices(ev.values.shape).reshape(dim, -1) / n_x).tolist()
+        cols += [ev.values.real.ravel().tolist(), ev.values.imag.ravel().tolist()]
+        rows = zip([time_pt] * ev.values.size, *cols)
         header = ["t"] + [f"x_{j+1}" for j in range(dim)] + ["re", "im"]
         out_dir = Path(out_dir) if out_dir is not None else Path(".")
         _write_csv(out_dir / "kernel_grid.csv", header, rows, meta=_meta(config))

@@ -40,17 +40,6 @@ def require_dyadic(n, what: str = "N") -> int:
     return int(n)
 
 
-def dyadic_range(lo: int, hi: int) -> list[int]:
-    """Powers of two in [lo, hi]."""
-    out = []
-    v = 1
-    while v <= hi:
-        if v >= lo:
-            out.append(v)
-        v *= 2
-    return out
-
-
 def _psi(s: np.ndarray) -> np.ndarray:
     # exp(-1/s) on s > 0, identically 0 on s <= 0; C-infinity across 0.
     out = np.zeros_like(s)

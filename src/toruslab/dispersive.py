@@ -357,13 +357,12 @@ def bilinear_form_check(
     F_set,
     params: BilinearFormCheckParams,
     n_quad: int,
-    constant: float = 1.0,
 ) -> tuple[float, float]:
     """Pairing <chi_E, train * bump_T * chi_F> against the restricted-type bound.
 
     The left side places the atoms exactly and quadratures the smooth profile
     on an n_quad grid (FFT circular convolution); the right side is
-    constant * (|E||F|)^(1/r0') * Q^(1+delta) * T^(2/r0).  Base bump profile:
+    (|E||F|)^(1/r0') * Q^(1+delta) * T^(2/r0).  Base bump profile:
     it dominates the annular one pointwise, so this is the conservative check.
     """
     T = params.T_scale
@@ -380,13 +379,13 @@ def bilinear_form_check(
     meas_e = float(np.mean(e_ind))
     meas_f = float(np.mean(f_ind))
     r0 = params.r0
-    rhs = constant * (meas_e * meas_f) ** (1.0 - 1.0 / r0) * params.Q ** (1.0 + params.delta) * T ** (2.0 / r0)
+    rhs = (meas_e * meas_f) ** (1.0 - 1.0 / r0) * params.Q ** (1.0 + params.delta) * T ** (2.0 / r0)
     return lhs, rhs
 
 
-def random_arc_union(rng: np.random.Generator, n_quad: int, max_arcs: int = 8) -> list[tuple[float, float]]:
-    """Union of up to max_arcs arcs with dyadic lengths >= 1/1024, grid-aligned starts."""
-    count = int(rng.integers(1, max_arcs + 1))
+def random_arc_union(rng: np.random.Generator, n_quad: int) -> list[tuple[float, float]]:
+    """Union of up to 8 arcs with dyadic lengths >= 1/1024, grid-aligned starts."""
+    count = int(rng.integers(1, 9))
     arcs = []
     for _ in range(count):
         length = 2.0 ** (-int(rng.integers(1, 11)))
@@ -400,7 +399,6 @@ def run_bilinear_draws(
     sigma: float = 0.1,
     n_draws: int = 1000,
     seed: int = 0,
-    constant: float = 1.0,
 ) -> list[dict]:
     """Random (E, F, Q, T) draws of the form check at level N; returns ratio records."""
     require_dyadic(N)
@@ -420,7 +418,7 @@ def run_bilinear_draws(
         params = BilinearFormCheckParams(r0=r0, Q=Q, T_scale=T, sigma=sigma)
         e_set = random_arc_union(rng, n_quad)
         f_set = random_arc_union(rng, n_quad)
-        lhs, rhs = bilinear_form_check(e_set, f_set, params, n_quad, constant=constant)
+        lhs, rhs = bilinear_form_check(e_set, f_set, params, n_quad)
         records.append(
             {"Q": Q, "T": T, "n_quad": n_quad, "lhs": lhs, "rhs": rhs,
              "ratio": lhs / rhs if rhs > 0 else float("inf")}

@@ -87,10 +87,16 @@ class NlsProblem:
 
 @dataclass
 class Trajectory:
-    """Discrete solution record: states at increasing times plus diagnostics."""
+    """Discrete solution record: states at increasing times plus diagnostics.
+
+    rows holds the states' coefficient boxes, one flattened row per time,
+    as the solvers build them; states are FrequencyField views of the rows.
+    """
 
     times: np.ndarray
-    states: list[FrequencyField]
+    rows: np.ndarray
+    geometry: TorusGeometry
+    box_radius: int
     diagnostics: dict = field(default_factory=dict)
     info: dict = field(default_factory=dict)
 
@@ -98,11 +104,13 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         if self.times[0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
-        if len(self.states) != self.times.size:
-            raise ValueError("one state per time sample required")
+        if self.rows.shape != (self.times.size, (2 * self.box_radius + 1) ** self.geometry.d):
+            raise ValueError("one coefficient row per time sample required")
 
-    def coeff_matrix(self) -> np.ndarray:
-        return np.stack([s.coeffs.ravel() for s in self.states])
+    @property
+    def states(self) -> list[FrequencyField]:
+        shape = (2 * self.box_radius + 1,) * self.geometry.d
+        return [FrequencyField(self.geometry, self.box_radius, row.reshape(shape)) for row in self.rows]
 
 
 def grid_size(d: int, M: int) -> int:
@@ -167,30 +175,20 @@ def _nonlinearity_rows(
     return out, trunc
 
 
-def nonlinearity(
-    u: FrequencyField,
-    *,
-    sign: int = 1,
-    coupling: float = 1.0,
-    return_truncation: bool = False,
-):
+def nonlinearity(u: FrequencyField, *, sign: int = 1) -> FrequencyField:
     """Pointwise power nonlinearity sign*|u|^(4/(d-2))*u, dealiased and re-boxed.
 
     The grid holds DEALIAS_FACTOR[d] points per box radius (see the module
-    docstring for the aliasing this leaves); energy in discarded modes is
-    returned on request.
+    docstring for the aliasing this leaves).
     """
     d = u.geometry.d
     if d not in (3, 4):
         raise ValueError(f"nonlinearity defined for d in {{3, 4}}, got {d}")
     M = u.box_radius
-    rows, trunc = _nonlinearity_rows(
-        u.coeffs.ravel()[None, :], u.geometry, M, sign, coupling, grid_size(d, M)
+    rows, _ = _nonlinearity_rows(
+        u.coeffs.ravel()[None, :], u.geometry, M, sign, 1.0, grid_size(d, M)
     )
-    out = u.with_coeffs(rows[0].reshape(u.coeffs.shape))
-    if return_truncation:
-        return out, float(trunc[0])
-    return out
+    return u.with_coeffs(rows[0].reshape(u.coeffs.shape))
 
 
 def mass(u: FrequencyField) -> float:
@@ -198,11 +196,7 @@ def mass(u: FrequencyField) -> float:
     return 0.5 * float(np.sum(np.abs(u.coeffs) ** 2))
 
 
-def energy(
-    u: FrequencyField,
-    sign: int,
-    coupling: float = 1.0,
-) -> float:
+def energy(u: FrequencyField, sign: int) -> float:
     """(1/2) integral sum_j theta_j |d_j u|^2 +- ((d-2)/(2d)) integral |u|^(2d/(d-2)).
 
     The gradient term is spectral and exact; the potential term is a grid
@@ -213,7 +207,7 @@ def energy(
         raise ValueError("energy defined for d in {3, 4}")
     M = u.box_radius
     vals = _synthesize(u.coeffs.reshape(1, -1), d, M, grid_size(d, M))[0]
-    return _energy(u, vals, sign * coupling)
+    return _energy(u, vals, sign)
 
 
 def _energy(u: FrequencyField, vals: np.ndarray, strength: float) -> float:
@@ -281,9 +275,7 @@ def _duhamel_matrix(
 def _wrap_trajectory(
     problem: NlsProblem, times: np.ndarray, U: np.ndarray, info: dict
 ) -> Trajectory:
-    shape = problem.u0.coeffs.shape
-    states = [problem.u0.with_coeffs(row.reshape(shape)) for row in U]
-    traj = Trajectory(times=times, states=states, info=info)
+    traj = Trajectory(times, U, problem.geometry, problem.u0.box_radius, info=info)
     traj.diagnostics = compute_diagnostics(traj, problem)
     return traj
 
@@ -294,11 +286,11 @@ def compute_diagnostics(traj: Trajectory, problem: NlsProblem) -> dict:
     n_grid = problem.grid_size
     strength = problem.sign * problem.coupling
     out = {k: np.empty(traj.times.size) for k in ("mass", "energy", "h1", "linf")}
+    states = traj.states
     chunk = _batch_rows(problem.d, n_grid)
-    for lo in range(0, len(traj.states), chunk):
-        states = traj.states[lo : lo + chunk]
-        grids = _synthesize(np.stack([s.coeffs.ravel() for s in states]), problem.d, M, n_grid)
-        for i, (state, vals) in enumerate(zip(states, grids), start=lo):
+    for lo in range(0, len(states), chunk):
+        grids = _synthesize(traj.rows[lo : lo + chunk], problem.d, M, n_grid)
+        for i, (state, vals) in enumerate(zip(states[lo : lo + chunk], grids), start=lo):
             out["mass"][i] = mass(state)
             out["energy"][i] = _energy(state, vals, strength)
             out["h1"][i] = sobolev_norm(state, 1)
@@ -307,41 +299,16 @@ def compute_diagnostics(traj: Trajectory, problem: NlsProblem) -> dict:
     return out
 
 
-def free_trajectory(problem: NlsProblem, T: float, n_t: int) -> Trajectory:
-    """Free evolution sampled on n_t+1 uniform nodes of [0, T]; diagnostics included."""
-    times = np.arange(n_t + 1) * (T / n_t)
-    U = _free_matrix(problem, _flow_phases(problem, times)[0])
-    return _wrap_trajectory(problem, times, U, {"solver": "free"})
-
-
-def duhamel_apply(
-    u_traj: Trajectory,
-    problem: NlsProblem,
-    T: float | None = None,
-) -> Trajectory:
-    """One application of the integral map: free flow of the data minus i times
-    the flowed-back nonlinearity, integrated by composite trapezoid."""
-    times = u_traj.times
-    if T is not None and not math.isclose(times[-1], T, rel_tol=1e-12):
-        raise ValueError(f"trajectory covers [0, {times[-1]}], requested T={T}")
-    M = problem.u0.box_radius
-    _check_dt(times[1] - times[0], problem.geometry, M)
-    U = u_traj.coeff_matrix()
-    Phi, _ = _duhamel_matrix(U, problem, times, _flow_phases(problem, times))
-    return _wrap_trajectory(problem, times, Phi, {"solver": "duhamel"})
-
-
 def picard_solve(
     problem: NlsProblem,
     T: float,
     dt: float,
     max_iter: int = 25,
-    tol: float = 1e-10,
 ) -> Trajectory:
     """Iterate the integral map from the free-evolution guess to its fixed point.
 
-    Convergence is measured in sup-in-time H1 (the computable stand-in for the
-    iteration space metric); the L^p space-time norm of each correction is
+    The iteration stops when a correction is below 1e-10 in sup-in-time H1
+    (the computable stand-in for the iteration space metric); the L^p space-time norm of each correction is
     logged alongside.  Three consecutive non-contracting steps, a correction
     that is not finite, or max_iter iterations without convergence raise
     NonContractionError, mirroring the smallness hypotheses of the local
@@ -377,7 +344,7 @@ def picard_solve(
             bad_streak = bad_streak + 1 if entry["factor"] >= 1.0 else 0
         log.append(entry)
         U = V
-        if d_h1 < tol:
+        if d_h1 < 1e-10:
             return _wrap_trajectory(
                 problem, times, U,
                 {"solver": "picard", "iterations": log, "converged": True,
@@ -487,16 +454,11 @@ def conservation_report(traj: Trajectory) -> dict:
     }
 
 
-def contraction_factor(
-    problem: NlsProblem,
-    T: float,
-    dt: float,
-    perturb: float = 0.01,
-) -> float:
+def contraction_factor(problem: NlsProblem, T: float, dt: float) -> float:
     """Empirical contraction factor of the integral map around the free guess.
 
-    Perturbs the free trajectory by a small multiple of an independent mode
-    and measures sup-H1(Phi v - Phi u) / sup-H1(v - u).  The free parts cancel
+    Perturbs the free trajectory by an independent mode times 1% of the
+    data's H1 norm and measures sup-H1(Phi v - Phi u) / sup-H1(v - u).  The free parts cancel
     structurally, so only the flowed-back nonlinearity difference is formed.
     """
     M = problem.u0.box_radius
@@ -511,7 +473,7 @@ def contraction_factor(
     w0 = FrequencyField.character(problem.geometry, M, k1, amplitude=1.0)
     wprob = NlsProblem(problem.geometry, problem.sign, w0, coupling=problem.coupling)
     W = _free_matrix(wprob, forward)  # same geometry and box, so the same flow
-    delta = perturb * sobolev_norm(problem.u0, 1)
+    delta = 0.01 * sobolev_norm(problem.u0, 1)
     V = U + delta * W
 
     I_u, _ = _duhamel_integral(U, problem, times, back)
@@ -522,6 +484,6 @@ def contraction_factor(
     return num / den
 
 
-def plane_wave_phase(amplitude: float, sign: int, d: int, t, coupling: float = 1.0):
+def plane_wave_phase(amplitude: float, sign: int, d: int, t):
     """Exact phase of the spatially constant solution: A e^{-i sign |A|^(4/(d-2)) t}."""
-    return np.exp(-1j * sign * coupling * abs(amplitude) ** (4.0 / (d - 2)) * np.asarray(t))
+    return np.exp(-1j * sign * abs(amplitude) ** (4.0 / (d - 2)) * np.asarray(t))

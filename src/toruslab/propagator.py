@@ -50,12 +50,22 @@ def free_evolve(f: FrequencyField, t: float) -> FrequencyField:
     return f.with_coeffs(f.coeffs * np.exp(-2j * np.pi * t * sym))
 
 
+def _check_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+
+
 def kernel_direct(t: float, x, N: int, geometry: TorusGeometry) -> complex:
-    """Reference kernel value by direct summation with exactly-rounded accumulation."""
+    """Reference kernel value by direct summation with exactly-rounded accumulation.
+
+    t and the point x must be finite (ValueError otherwise).
+    """
     require_dyadic(N)
+    _check_finite("t", t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (geometry.d,):
         raise ValueError(f"point must have {geometry.d} coordinates")
+    _check_finite("x", x)
     k = np.arange(-2 * N, 2 * N + 1, dtype=float)
     w = bump(k / N)
     weights = reduce(np.multiply.outer, [w] * geometry.d) if geometry.d > 1 else w
@@ -100,9 +110,7 @@ def _axis_phases(phases: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     return re, im
 
 
-def kernel_axis_max_abs(
-    ts: np.ndarray, N: int, theta: float, n_x: int, *, chunk: int | None = None
-) -> np.ndarray:
+def kernel_axis_max_abs(ts: np.ndarray, N: int, theta: float, n_x: int) -> np.ndarray:
     """max over the x-grid of the 1-d kernel slice, per time sample (batched FFT).
 
     The grid max depends on the phase s = theta t alone and is unchanged by
@@ -121,7 +129,7 @@ def kernel_axis_max_abs(
     gap between is zeroed.  Each time's maximum is the same bits however the
     times are chunked, and the phases err by at most about (2N)^2 machine
     epsilons relative.  K(r, .) is even in x, so the max is taken over
-    m = 0..n_x//2.  FFT chunks (chunk rows, _auto_chunk(n_x) by default) and
+    m = 0..n_x//2.  FFT chunks (_auto_chunk(n_x) rows) and
     the k-major phase blocks (about _auto_chunk(2N+1) rows) are cache-sized,
     so no phase buffer grows with ts.size.
     """
@@ -132,8 +140,7 @@ def kernel_axis_max_abs(
     phases, where = np.unique(np.minimum(u, period - u), return_inverse=True)
     w = _kernel_axis_symbol(N)[1][2 * N :]
     width, half = 2 * N + 1, n_x // 2 + 1
-    if chunk is None:
-        chunk = _auto_chunk(n_x)
+    chunk = _auto_chunk(n_x)
     block = chunk * max(1, _auto_chunk(width) // chunk)
     out = np.empty(phases.size)
     buf = np.empty((min(chunk, phases.size), n_x), dtype=np.complex128)
@@ -155,8 +162,9 @@ def kernel_axis_max_abs(
 
 
 def kernel_grid(t: float, n_x: int, N: int, geometry: TorusGeometry) -> KernelEvaluation:
-    """Kernel on the uniform n_x^d grid via inverse FFT of the phased symbol."""
+    """Kernel on the uniform n_x^d grid via inverse FFT of the phased symbol; t must be finite."""
     require_dyadic(N)
+    _check_finite("t", t)
     if n_x < 4 * N + 1:
         raise GridTooCoarseError(f"need n_x >= {4 * N + 1} to hold the symbol, got {n_x}")
     k, w = _kernel_axis_symbol(N)

@@ -35,10 +35,8 @@ from .core import (
     TorusGeometry,
     _modulus_power,
     is_dyadic,
-    project,
     require_dyadic,
     sobolev_norm,
-    with_box_radius,
 )
 from .propagator import iter_evolved_grids, time_sample_count
 
@@ -181,37 +179,6 @@ def _quadrature_sizes(
     n_t = default_t if n_t is None else int(n_t)
     n_x = default_x if n_x is None else int(n_x)
     return n_t, n_x, bool(even and periodic and n_t >= need_t and n_x >= need_x)
-
-
-def critical_exponent(d: int) -> float:
-    return 2.0 * (d + 2) / d
-
-
-def strichartz_ratio(
-    f: FrequencyField,
-    N: int,
-    p: float,
-    geometry: TorusGeometry,
-) -> float:
-    """||evolved, frequency-cut f||_{L^p_{t,x}} / (N^(d/2-(d+2)/p) ||f||_2).
-
-    Rejects p at or below the critical exponent 2(d+2)/d, where the
-    scale-invariant estimate fails.
-    """
-    require_dyadic(N)
-    d = geometry.d
-    if p <= critical_exponent(d):
-        raise ValueError(f"need p > {critical_exponent(d)} in dimension {d}, got {p}")
-    l2 = sobolev_norm(f, 0)
-    if l2 == 0.0:
-        raise ValueError("data must be nonzero")
-    if _field_extent(f)[0] <= N:
-        cut = f  # multiplier is identically 1 on the core box
-    else:
-        cut = project(with_box_radius(f, max(f.box_radius, 2 * N)), N, "leq")
-    n_t, n_x, _ = _quadrature_sizes([_field_extent(cut)], p, N, geometry)
-    norm = evolved_lp_norm(cut, p, n_t=n_t, n_x=n_x)
-    return norm / (float(N) ** (d / 2.0 - (d + 2.0) / p) * l2)
 
 
 def sweep_data(data_class: str, N: int, geometry: TorusGeometry, seed: int = 0) -> FrequencyField:

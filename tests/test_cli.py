@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from toruslab.cli import _write_csv, main
-from toruslab.nls import grid_size
+from toruslab.cli import _parse_data_spec, _write_csv, main
+from toruslab.core import TorusGeometry
+from toruslab.io import read_field
+from toruslab.nls import NlsProblem, grid_size, picard_solve, split_step_evolve
+from toruslab.propagator import kernel_grid
 
 
 @pytest.fixture
@@ -51,6 +54,31 @@ class TestKernelCommand:
 def per_cell_csv_row(row):
     """The CSV row as formatted one cell at a time: 17 significant digits for floats, else str."""
     return ",".join(format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row)
+
+
+class TestKernelGridCsv:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--d", "1", "--N", "16", "--t", "0.3"], ["--d", "1", "--N", "4", "--t", "-0.0", "--n-x", "33"],
+         ["--d", "2", "--N", "8", "--t", "0.25", "--theta", "1,0.7071067811865476"],
+         ["--d", "2", "--N", "4", "--t", "0.1", "--n-x", "21"]],
+        ids=["d1", "d1-odd", "d2", "d2-odd"],
+    )
+    def test_rows_match_per_cell_builder(self, runner, tmp_path, argv):
+        # each cell built and formatted one at a time, in np.ndindex order
+        result = runner.invoke(main, ["kernel", *argv, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0
+        opts = dict(zip(argv[::2], argv[1::2]))
+        d, N, t = int(opts["--d"]), int(opts["--N"]), float(opts["--t"])
+        n_x = int(opts.get("--n-x", 4 * N + 4))
+        theta = tuple(float(v) for v in opts.get("--theta", "1").split(","))
+        values = kernel_grid(t, n_x, N, TorusGeometry(d, theta * (d // len(theta)))).values
+        want = [
+            per_cell_csv_row([t, *[i / n_x for i in idx], float(values[idx].real), float(values[idx].imag)])
+            for idx in np.ndindex(*values.shape)
+        ]
+        lines = (tmp_path / "kernel_grid.csv").read_text().split("\n")
+        assert lines[2:] == want + [""]
 
 
 class TestCsvWriter:
@@ -195,13 +223,25 @@ class TestNlsRun:
         assert 0.0 <= summary["max_truncated_energy"] <= 1e-14 * 0.01**2
 
     def test_field_dump(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "nls-run", "--d", "3", "--data", "planewave:0.1", "--N", "2", "--T", "0.02",
-            "--dt", "1e-2", "--dump-fields", "--out-dir", str(tmp_path),
-        ])
-        assert result.exit_code == 0
-        assert (tmp_path / "state_000000.fld").exists()
-        assert (tmp_path / "state_000002.fld").exists()
+        # every dumped state reads back with the bits of the library solve
+        g = TorusGeometry.square(3)
+        problem = NlsProblem(g, +1, _parse_data_spec("gaussian:0.25", g, 2, 7))
+        for solver, solve in (("splitstep", split_step_evolve), ("picard", picard_solve)):
+            out = tmp_path / solver
+            result = runner.invoke(main, [
+                "nls-run", "--d", "3", "--data", "gaussian:0.25", "--seed", "7", "--N", "2",
+                "--T", "0.02", "--dt", "5e-3", "--solver", solver, "--dump-fields",
+                "--out-dir", str(out),
+            ])
+            assert result.exit_code == 0
+            traj = solve(problem, 0.02, 5e-3)
+            files = sorted(out.glob("state_*.fld"))
+            assert len(files) == traj.times.size == 5
+            for i, path in enumerate(files):
+                assert path.name == f"state_{i:06d}.fld"
+                got = read_field(path)
+                assert (got.geometry, got.box_radius) == (g, 2)
+                assert np.array_equal(got.coeffs.view(np.float64), traj.states[i].coeffs.view(np.float64))
 
     def test_budget_abort(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -264,6 +304,17 @@ BAD_VALUES = [
     ["kernel", "--N", "4", "--n-x", "0"],
 ]
 
+#: A time or point that is not finite, at a point and on the grid dump.
+NON_FINITE_KERNEL = [
+    ["kernel", "--N", "4", "--t", "nan"],
+    ["kernel", "--N", "4", "--t", "inf"],
+    ["kernel", "--N", "4", "--t", "-inf"],
+    ["kernel", "--N", "4", "--t", "nan", "--x", "0.1"],
+    ["kernel", "--N", "4", "--t", "inf", "--x", "0.1"],
+    ["kernel", "--N", "4", "--x", "nan"],
+    ["kernel", "--N", "4", "--d", "2", "--x", "0.1,inf"],
+]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -290,7 +341,7 @@ class TestUsageErrors:
             ["strichartz-sweep", "--N", "1,2,4,8", "--p", "4", "--threads", "2"],
             ["bilinear-check", "--N1", "2", "--threads", "2"],
             ["nls-run", "--threads", "2"],
-        ] + BAD_VALUES,
+        ] + BAD_VALUES + NON_FINITE_KERNEL,
     )
     def test_bad_input_exits_2(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:

@@ -9,7 +9,6 @@ from toruslab.core import (
     _modulus_power,
     annular_bump,
     bump,
-    dyadic_range,
     is_dyadic,
     lp_symbol,
     project,
@@ -77,7 +76,6 @@ class TestGeometry:
 
     def test_dyadic_helpers(self):
         assert [is_dyadic(n) for n in (1, 2, 3, 8, 0, -4)] == [True, True, False, True, False, False]
-        assert dyadic_range(2, 16) == [2, 4, 8, 16]
 
 
 class TestLpSymbol:

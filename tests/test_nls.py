@@ -10,12 +10,16 @@ from toruslab.errors import GridTooCoarseError, NonContractionError
 from toruslab.nls import (
     NlsProblem,
     _batch_rows,
+    _duhamel_matrix,
+    _flow_phases,
+    _free_matrix,
+    _nonlinearity_rows,
     Trajectory,
+    compute_diagnostics,
     conservation_report,
     contraction_factor,
-    duhamel_apply,
     energy,
-    free_trajectory,
+    grid_size,
     live_cells,
     mass,
     nonlinearity,
@@ -23,7 +27,7 @@ from toruslab.nls import (
     plane_wave_phase,
     split_step_evolve,
 )
-from toruslab.propagator import _synthesize
+from toruslab.propagator import _synthesize, free_evolve
 
 from test_propagator import box_flat, full_grid_analyze, full_grid_synthesize
 
@@ -60,6 +64,23 @@ def random_problem(d, M, scale, seed, sign=+1):
 
 def full_grid_values(u, n):
     return full_grid_synthesize(u.coeffs.reshape(1, -1), u.geometry.d, u.box_radius, n)[0]
+
+
+def truncated_energy(u):
+    """Energy the round trip of nonlinearity(u) discards outside the box."""
+    d, M = u.geometry.d, u.box_radius
+    _, trunc = _nonlinearity_rows(u.coeffs.reshape(1, -1), u.geometry, M, 1, 1.0, grid_size(d, M))
+    return float(trunc[0])
+
+
+def free_rows(prob, times):
+    """Coefficient rows of the free flow of the data at each time."""
+    return _free_matrix(prob, _flow_phases(prob, times)[0])
+
+
+def duhamel_rows(prob, times, U):
+    """One application of the integral map to the trajectory rows U."""
+    return _duhamel_matrix(U, prob, times, _flow_phases(prob, times))[0]
 
 
 def discarded_energy(w, M):
@@ -119,7 +140,7 @@ class TestNonlinearity:
         # the reported value is the energy of the modes the box discards
         for d, M in ((3, 2), (3, 4), (4, 2)):
             u = random_problem(d, M, 0.5, seed=d + M).u0
-            _, trunc = nonlinearity(u, return_truncation=True)
+            trunc = truncated_energy(u)
             vals = full_grid_values(u, 6 * M if d == 3 else 4 * M)
             want = discarded_energy(np.abs(vals) ** (4 / (d - 2)) * vals, M)
             assert want > 0
@@ -153,19 +174,15 @@ class TestDuhamel:
         prob = plane_wave_problem(0.3)
         n_t = 20
         times = np.arange(n_t + 1) * (0.1 / n_t)
-        zero_states = [FrequencyField.zeros(prob.geometry, 4) for _ in times]
-        zero_traj = Trajectory(times=times, states=zero_states)
-        out = duhamel_apply(zero_traj, prob)
-        free = free_trajectory(prob, 0.1, n_t)
-        for s_out, s_free in zip(out.states, free.states):
-            assert np.allclose(s_out.coeffs, s_free.coeffs, atol=1e-15)
+        out = duhamel_rows(prob, times, np.zeros((times.size, prob.u0.coeffs.size), dtype=complex))
+        for row, t in zip(out, times):
+            assert np.allclose(row, free_evolve(prob.u0, t).coeffs.ravel(), atol=1e-15)
 
     def test_zero_data_zero_trajectory(self):
         g = cubic_geometry()
         prob = NlsProblem(g, +1, FrequencyField.zeros(g, 4))
-        traj = free_trajectory(prob, 0.1, 10)
-        out = duhamel_apply(traj, prob)
-        assert all(np.all(s.coeffs == 0) for s in out.states)
+        times = np.arange(11) * (0.1 / 10)
+        assert np.all(duhamel_rows(prob, times, free_rows(prob, times)) == 0)
 
     def test_plane_wave_quadrature_second_order(self):
         # feed the exact orbit through the map; the residual is the trapezoid
@@ -181,16 +198,18 @@ class TestDuhamel:
                                          amplitude=A * np.exp(1j * omega * t))
                 for t in times
             ]
-            out = duhamel_apply(Trajectory(times=times, states=states), prob)
-            errs.append(max(h1_distance(a, b) for a, b in zip(out.states, states)))
+            out = duhamel_rows(prob, times, np.stack([s.coeffs.ravel() for s in states]))
+            errs.append(max(
+                h1_distance(s.with_coeffs(row.reshape(s.coeffs.shape)), s) for row, s in zip(out, states)
+            ))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
     def test_time_step_guard(self):
+        # dt = 0.5 exceeds the guard 1/M^2 at M = 8 in both solvers
         prob = plane_wave_problem(0.1, M=8)
-        times = np.array([0.0, 0.5, 1.0])
-        states = [prob.u0] * 3
-        with pytest.raises(GridTooCoarseError):
-            duhamel_apply(Trajectory(times=times, states=states), prob)
+        for solve in (picard_solve, split_step_evolve):
+            with pytest.raises(GridTooCoarseError, match="stability guard"):
+                solve(prob, 1.0, 0.5)
 
 
 class TestPicard:
@@ -246,9 +265,9 @@ class TestSplitStep:
         u0 = FrequencyField(g, 2, 0.1 * (rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))))
         prob = NlsProblem(g, +1, u0, coupling=0.0)
         traj = split_step_evolve(prob, 0.1, 1e-2)
-        free = free_trajectory(prob, 0.1, 10)
-        for a, b in zip(traj.states, free.states):
-            assert np.allclose(a.coeffs, b.coeffs, atol=1e-13)
+        assert traj.times.size == 11
+        for t, a in zip(traj.times, traj.states):
+            assert np.allclose(a.coeffs, free_evolve(u0, t).coeffs, atol=1e-13)
 
     def test_plane_wave_exact_orbit(self):
         # both splitting stages act as exact scalar phases on a plane wave
@@ -320,7 +339,9 @@ class TestConservation:
         g = cubic_geometry()
         u0 = FrequencyField.character(g, 2, (1, 0, 0), amplitude=0.3)
         prob = NlsProblem(g, +1, u0)
-        traj = free_trajectory(prob, 0.5, 50)
+        times = np.arange(51) * (0.5 / 50)
+        traj = Trajectory(times, free_rows(prob, times), g, 2)
+        traj.diagnostics = compute_diagnostics(traj, prob)
         rep = conservation_report(traj)
         assert rep["mass_drift"] <= 1e-10
         assert rep["energy_drift"] <= 1e-10
@@ -341,9 +362,32 @@ class TestConservation:
     def test_requires_diagnostics(self):
         g = cubic_geometry()
         u0 = FrequencyField.character(g, 2, (0, 0, 0))
-        traj = Trajectory(times=np.array([0.0]), states=[u0])
+        traj = Trajectory(np.array([0.0]), u0.coeffs.reshape(1, -1), g, 2)
         with pytest.raises(ValueError):
             conservation_report(traj)
+
+
+class TestTrajectory:
+    def test_states_are_views_of_the_rows(self):
+        prob = two_mode_problem(0.2, 0.1, M=2)
+        traj = split_step_evolve(prob, 0.01, 1e-3)
+        assert traj.rows.shape == (traj.times.size, 5**3)
+        states = traj.states
+        assert len(states) == traj.times.size
+        for i, state in enumerate(states):
+            assert (state.geometry, state.box_radius) == (prob.geometry, 2)
+            assert state.coeffs.shape == (5, 5, 5)
+            assert np.shares_memory(state.coeffs, traj.rows)
+            assert np.array_equal(state.coeffs.ravel(), traj.rows[i])
+
+    def test_one_row_per_time(self):
+        g = cubic_geometry()
+        with pytest.raises(ValueError, match="one coefficient row per time"):
+            Trajectory(np.array([0.0, 0.1]), np.zeros((1, 5**3), dtype=complex), g, 2)
+        with pytest.raises(ValueError, match="one coefficient row per time"):
+            Trajectory(np.array([0.0]), np.zeros((1, 4**3), dtype=complex), g, 2)
+        with pytest.raises(ValueError, match="start at t = 0"):
+            Trajectory(np.array([0.1]), np.zeros((1, 5**3), dtype=complex), g, 2)
 
 
 class TestContractionScaling:
@@ -427,7 +471,7 @@ class TestTruncatedEnergyRecord:
         # at the fixed point the last iterate's round trips are those of the final states
         prob = random_problem(3, 2, 0.5, seed=70)
         traj = picard_solve(prob, 0.004, 1e-3)
-        want = max(nonlinearity(s, return_truncation=True)[1] for s in traj.states)
+        want = max(truncated_energy(s) for s in traj.states)
         assert want > 0
         assert traj.info["max_truncated_energy"] == pytest.approx(want, rel=1e-6)
 

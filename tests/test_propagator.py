@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from toruslab import _fft
+from toruslab import _fft, propagator
 from toruslab.core import FrequencyField, TorusGeometry, bump, sobolev_norm, synthesize
 from toruslab.dispersive import SWEEP_TIME_CAP, refocusing_times, sweep_time_grid
 from toruslab.errors import GridTooCoarseError
@@ -109,6 +109,16 @@ class TestKernelDirect:
         v2 = kernel_direct(0.3, (-0.2, -0.7), 4, g)
         assert v1 == pytest.approx(v2, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        g = TorusGeometry.square(2)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            kernel_direct(bad, (0.0, 0.0), 4, g)
+        with pytest.raises(ValueError, match="^x must be finite"):
+            kernel_direct(0.3, (0.1, bad), 4, g)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            kernel_grid(bad, 20, 4, g)
+
 
 class TestKernelGrid:
     def test_guard(self):
@@ -185,6 +195,12 @@ def exact_phase_axis_max_abs(ts, N, theta, n_x):
     return out
 
 
+def seven_row_chunks(monkeypatch, n_x):
+    """Make kernel_axis_max_abs transform 7 rows per FFT chunk on an n_x grid."""
+    auto = propagator._auto_chunk
+    monkeypatch.setattr(propagator, "_auto_chunk", lambda cells: 7 if cells == n_x else auto(cells))
+
+
 def phase_tolerance(N):
     """Relative tolerance of a slice maximum against exact phases: 4 (2N)^2 machine epsilons."""
     return 4.0 * (2 * N) ** 2 * np.finfo(float).eps
@@ -251,23 +267,26 @@ class TestKernelAxisMaxAbs:
         assert got[0] == pytest.approx(3 * N, rel=1e-14)
 
     @pytest.mark.parametrize("size", [0, 1, 7, 8])
-    def test_chunk_edges(self, size):
-        N, n_x, chunk = 4, 36, 7
+    def test_chunk_edges(self, size, monkeypatch):
+        N, n_x = 4, 36
         ts = np.random.default_rng(size).random(size)
-        got = kernel_axis_max_abs(ts, N, IRRATIONAL, n_x, chunk=chunk)
+        want = kernel_axis_max_abs(ts, N, IRRATIONAL, n_x)
+        seven_row_chunks(monkeypatch, n_x)
+        got = kernel_axis_max_abs(ts, N, IRRATIONAL, n_x)
         assert got.shape == (size,)
-        assert np.array_equal(got, kernel_axis_max_abs(ts, N, IRRATIONAL, n_x))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("theta", [1.0, IRRATIONAL])
     @pytest.mark.parametrize("N, n_x", [(4, 36), (16, 128)])
-    def test_maxima_do_not_depend_on_batching(self, N, n_x, theta):
+    def test_maxima_do_not_depend_on_batching(self, N, n_x, theta, monkeypatch):
         # more times than one phase block: chunk 7, the default chunk and
         # one-time calls give each time the same bits
         ts = np.random.default_rng(N).random(9000) * 3.0 - 1.0
         batched = kernel_axis_max_abs(ts, N, theta, n_x)
-        assert np.array_equal(kernel_axis_max_abs(ts, N, theta, n_x, chunk=7), batched)
         for i in range(0, ts.size, 331):
             assert np.array_equal(kernel_axis_max_abs(ts[i : i + 1], N, theta, n_x), batched[i : i + 1])
+        seven_row_chunks(monkeypatch, n_x)
+        assert np.array_equal(kernel_axis_max_abs(ts, N, theta, n_x), batched)
 
     def test_guard(self):
         with pytest.raises(GridTooCoarseError):

@@ -21,7 +21,6 @@ from toruslab.strichartz import (
     exponent_sweep,
     fit_scaling,
     spacetime_lp_norm,
-    strichartz_ratio,
     sweep_data,
     tensor_field,
 )
@@ -85,32 +84,20 @@ class TestSpacetimeLpNorm:
             exponent_sweep("flat", p, [1, 2, 4, 8], g)
 
 
-class TestStrichartzRatio:
-    def test_character_closed_form(self):
-        g = TorusGeometry.square(1)
-        for N in (4, 8, 16):
-            f = sweep_data("character", N, g)
-            expected = float(N) ** (-(0.5 - 3.0 / 8.0))
-            assert strichartz_ratio(f, N, 8.0, g) == pytest.approx(expected, rel=1e-9)
-
-    def test_rejects_critical_exponent(self):
-        g = TorusGeometry.square(2)
-        f = sweep_data("character", 4, g)
-        with pytest.raises(ValueError):
-            strichartz_ratio(f, 4, 4.0, g)  # 2(d+2)/d = 4 in d = 2
-
-    def test_rejects_zero_data(self):
-        g = TorusGeometry.square(1)
-        f = FrequencyField.zeros(g, 4)
-        with pytest.raises(ValueError):
-            strichartz_ratio(f, 4, 8.0, g)
-
-
 class TestExponentSweep:
     def test_character_slope_zero(self):
         g = TorusGeometry.square(1)
         fit = exponent_sweep("character", 8.0, [8, 16, 32, 64], g)
         assert abs(fit.slope) <= 1e-9
+
+    def test_character_ratio_closed_form(self):
+        # a unit character has |u| = 1, so the sweep's ratio column
+        # norm / N^(d/2 - (d+2)/p) is N^-(1/2 - 3/8) in d = 1 at p = 8
+        g = TorusGeometry.square(1)
+        fit = exponent_sweep("character", 8.0, [4, 8, 16, 32], g)
+        assert fit.theoretical_exponent == 0.5 - 3.0 / 8.0
+        for N, norm in zip(fit.N_list, fit.norms):
+            assert norm / N**fit.theoretical_exponent == pytest.approx(N ** -(0.5 - 3.0 / 8.0), rel=1e-9)
 
     def test_flat_slope_below_theory(self):
         g = TorusGeometry.square(1)
