@@ -15,11 +15,11 @@ their phases for k >= 0 only (the symbol is even in k) by a real-arithmetic
 recurrence, with no exp per (t, k), and take the max over half the x-grid
 (the kernel is even in x); see propagator.kernel_axis_max_abs.
 
-check_dispersive sweeps the kernel once per N, on the union of the stratified
-grid and the Farey midpoints: the off-arc sup uses the off-arc times of the
-union (check_diff_bound), the envelope ratio uses the base-grid times, of which
-only those on the arcs are left to sweep, and the report carries the base-grid
-arrays, so a CSV dump costs no extra sweep.
+check_dispersive sweeps the kernel once per N, in one call, on the union of
+the stratified grid and the Farey midpoints (check_diff_bound): the off-arc sup
+uses the off-arc times of the union, the envelope ratio uses the base-grid
+times, and the report carries the base-grid arrays, so a CSV dump costs no
+extra sweep.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ class DiffBoundResult:
     offarc_fraction: float
     degenerate: bool
     t_at_sup: float
-    #: (off-arc times, kernel maxima there), which check_dispersive reuses.
+    #: (ts, kmax, on_base): the swept times, the kernel maxima there and the
+    #: mask of the base-grid times, which check_dispersive reuses.
     sweep: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -190,28 +191,31 @@ def check_diff_bound(
     n_t: int | None = None,
     n_x: int | None = None,
 ) -> DiffBoundResult:
-    """sup over off-arc grid times of max_x |K(t, x)| / N^(d(1-sigma))."""
+    """sup over off-arc grid times of max_x |K(t, x)| / N^(d(1-sigma)).
+
+    One sweep covers the base grid and the Farey midpoints, on and off the arcs.
+    """
     require_dyadic(N)
     if n_x is None:
         n_x = 8 * N
     params = MajorArcParams(sigma=sigma, N=N)
     base = sweep_time_grid(N, geometry, n_t=n_t)
     ts = np.union1d(base, farey_midpoint_times(N, sigma, geometry))
+    kmax = _kernel_max_abs_product(ts, N, geometry, n_x)
+    sweep = (ts, kmax, np.isin(ts, base))
     off = ~major_arc_mask(ts, params, geometry)
     frac = float(np.count_nonzero(off)) / ts.size
-    ts_off = ts[off]
     if not off.any():
         return DiffBoundResult(constant=float("nan"), offarc_fraction=0.0, degenerate=True,
-                               t_at_sup=float("nan"), sweep=(ts_off, np.empty(0)))
-    kmax = _kernel_max_abs_product(ts_off, N, geometry, n_x)
+                               t_at_sup=float("nan"), sweep=sweep)
     scale = float(N) ** (geometry.d * (1.0 - sigma))
-    i = int(np.argmax(kmax))
+    i = np.flatnonzero(off)[np.argmax(kmax[off])]
     return DiffBoundResult(
         constant=float(kmax[i] / scale),
         offarc_fraction=frac,
         degenerate=False,
-        t_at_sup=float(ts_off[i]),
-        sweep=(ts_off, kmax),
+        t_at_sup=float(ts[i]),
+        sweep=sweep,
     )
 
 
@@ -229,18 +233,14 @@ def check_dispersive(
     this cutoff profile (the symbol sums to 3N per coordinate), so the reported
     max is always >= 3^d.  sup_offarc_kernel and the fitted constants
     offarc_fraction, offarc_degenerate and t_at_offarc_sup are check_diff_bound's
-    result; the base-grid times it swept off the arcs are not swept again.
+    result, and the ratio reads the base-grid rows of its sweep.
     """
     require_dyadic(N)
     if n_x is None:
         n_x = 8 * N
     diff = check_diff_bound(N, sigma, geometry, n_t=n_t, n_x=n_x)
-    ts_off, kmax_off = diff.sweep
-    ts = sweep_time_grid(N, geometry, n_t=n_t)
-    swept = np.isin(ts, ts_off)
-    kmax = np.empty(ts.size)
-    kmax[swept] = kmax_off[np.searchsorted(ts_off, ts[swept])]
-    kmax[~swept] = _kernel_max_abs_product(ts[~swept], N, geometry, n_x)
+    ts, kmax, on_base = diff.sweep
+    ts, kmax = ts[on_base], kmax[on_base]
     bounds = dispersive_bound_batch(ts, N, geometry)
     ratios = kmax / bounds
     i = int(np.argmax(ratios))

@@ -5,12 +5,14 @@
 Two independent integrators are provided: a fixed-point iteration of the
 integral (Duhamel) map with composite-trapezoid quadrature, and a Strang
 split-step scheme.  Both are second order in dt and are cross-validated in the
-tests.  The nonlinearity is evaluated pseudo-spectrally on a grid of
-DEALIAS_FACTOR[d] * M points per axis for box radius M: 6M for d = 3, 4M for
-d = 4.  That grid is one point short of alias-free: quintic products reach
-+-5M and 5M = -M (mod 6M), cubic products in d = 4 reach +-3M and
-3M = -M (mod 4M), so products of modes near the box edge alias back into the
-box.  This is an open defect (ROADMAP.md, item 1).
+tests.  The fixed-point iteration builds each iterate's flowed-back
+nonlinearity and its trapezoid in one work matrix, and logs the sup-in-time
+H1 norm of each correction.  The nonlinearity is evaluated pseudo-spectrally
+on a grid of DEALIAS_FACTOR[d] * M points per axis for box radius M: 6M for
+d = 3, 4M for d = 4.  That grid is one point short of alias-free: quintic
+products reach +-5M and 5M = -M (mod 6M), cubic products in d = 4 reach
++-3M and 3M = -M (mod 4M), so products of modes near the box edge alias back
+into the box.  This is an open defect (ROADMAP.md, item 1).
 
 Each round trip synthesizes the box onto the grid one axis at a time
 (propagator._synthesize) and analyzes back with the mirror primitive
@@ -34,7 +36,6 @@ import numpy as np
 from .core import FrequencyField, TorusGeometry, _dispersion_symbol, _modulus_power, sobolev_norm
 from .errors import GridTooCoarseError, NonContractionError
 from .propagator import _analyze, _synthesize
-from .strichartz import spacetime_lp_norm
 
 #: Pseudo-spectral grid multiple of the box radius per dimension.
 DEALIAS_FACTOR = {3: 6, 4: 4}
@@ -121,18 +122,19 @@ def grid_size(d: int, M: int) -> int:
 def live_cells(d: int, M: int, T: float, dt: float, solver: str) -> int:
     """Complex cells a solve of [0, T] at step dt holds at its peak (nls-run --budget).
 
-    Split-step: its trajectory.  Picard: ten trajectories (both flow phases,
-    the iterate, the last correction, the nonlinearity, its flowed-back copy,
-    the integral and the trapezoid sum's three temporaries).  Both: four grids
-    per row of a batch (the diagnostics' or the nonlinearity's), which also
-    covers a split-step half-step.  Measured with tracemalloc on top of the
+    Split-step: its trajectory.  Picard: six trajectories (both flow phases,
+    the iterate, the work matrix that holds the flowed-back nonlinearity and
+    then its integral, and either the trapezoid's one temporary or the next
+    iterate together with the difference).  Both: four grids per row of a
+    batch (the diagnostics' or the nonlinearity's), which also covers a
+    split-step half-step.  Measured with tracemalloc on top of the
     trajectories: a half-step 3.1-3.5 grids, a batch 1.6-2.6 grids per row
     for split-step and about 3.2 for Picard.
     """
     n, n_states = grid_size(d, M), max(int(round(T / dt)), 1) + 1
     trajectory = n_states * (2 * M + 1) ** d
     grids = 4 * min(_batch_rows(d, n), n_states) * n**d
-    return (10 * trajectory if solver == "picard" else trajectory) + grids
+    return (6 * trajectory if solver == "picard" else trajectory) + grids
 
 
 def _batch_rows(d: int, n_grid: int) -> int:
@@ -248,19 +250,20 @@ def _free_matrix(problem: NlsProblem, forward: np.ndarray) -> np.ndarray:
 def _duhamel_integral(
     U: np.ndarray, problem: NlsProblem, times: np.ndarray, back: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Cumulative trapezoid of e^{-i s Delta} F(u(s)) over the trajectory nodes,
-    and the largest truncated energy of the nonlinearity's round trips."""
+    """Cumulative trapezoid of e^{-i s Delta} F(u(s)) over the trajectory nodes, built
+    in place of F(u), and the largest truncated energy of the nonlinearity's round trips."""
     M = problem.u0.box_radius
     F, trunc = _nonlinearity_rows(
         U, problem.geometry, M, problem.sign, problem.coupling, problem.grid_size
     )
-    # a temporary operand, like an inline np.exp(...): numpy's temporary elision
-    # then multiplies in the same operand order, and that order fixes the last bit
-    G = F * back.copy()
+    # operand order fixes the last bit of a complex product (fused multiply-adds)
+    np.multiply(back, F, out=F)
     dt = times[1] - times[0]
-    I = np.zeros_like(G)
-    I[1:] = np.cumsum(0.5 * dt * (G[1:] + G[:-1]), axis=0)
-    return I, float(np.max(trunc))
+    steps = F[1:] + F[:-1]
+    steps *= 0.5 * dt
+    F[0] = 0
+    np.cumsum(steps, axis=0, out=F[1:])
+    return F, float(np.max(trunc))
 
 
 def _duhamel_matrix(
@@ -308,9 +311,10 @@ def picard_solve(
     """Iterate the integral map from the free-evolution guess to its fixed point.
 
     The iteration stops when a correction is below 1e-10 in sup-in-time H1
-    (the computable stand-in for the iteration space metric); the L^p space-time norm of each correction is
-    logged alongside.  Three consecutive non-contracting steps, a correction
-    that is not finite, or max_iter iterations without convergence raise
+    (the computable stand-in for the iteration space metric); info["iterations"]
+    logs each correction's norm and, from the second on, its ratio to the one
+    before.  Three consecutive non-contracting steps, a correction that is not
+    finite, or max_iter iterations without convergence raise
     NonContractionError, mirroring the smallness hypotheses of the local
     theory.  info["max_truncated_energy"] is the largest energy the last
     iteration's round trips discarded outside the box.
@@ -322,7 +326,6 @@ def picard_solve(
     _check_dt(T / n_t, problem.geometry, M)
     times = np.arange(n_t + 1) * (T / n_t)
     weights = _h1_weights(problem.geometry, M)
-    p_log = 4.0 if problem.d == 3 else 10.0 / 3.0
 
     phases = _flow_phases(problem, times)
     U = _free_matrix(problem, phases[0])
@@ -330,15 +333,15 @@ def picard_solve(
     prev_diff = None
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        V, trunc = _duhamel_matrix(U, problem, times, phases)
-        diff = V - U
-        d_h1 = _sup_h1(diff, weights)
+        # a blow-up overflows on the way; the finiteness check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            V, trunc = _duhamel_matrix(U, problem, times, phases)
+            d_h1 = _sup_h1(V - U, weights)
         if not math.isfinite(d_h1):
             raise NonContractionError(
                 f"fixed-point iterate {it} is not finite; reduce the data or the horizon"
             )
-        d_lp = _trajectory_lp(diff, problem, p_log)
-        entry = {"iteration": it, "d_h1": d_h1, "d_lp": d_lp}
+        entry = {"iteration": it, "d_h1": d_h1}
         if prev_diff is not None and prev_diff > 0:
             entry["factor"] = d_h1 / prev_diff
             bad_streak = bad_streak + 1 if entry["factor"] >= 1.0 else 0
@@ -358,17 +361,6 @@ def picard_solve(
     raise NonContractionError(
         f"no fixed point within {max_iter} iterations (last diff {prev_diff:.3e})"
     )
-
-
-def _trajectory_lp(U: np.ndarray, problem: NlsProblem, p: float) -> float:
-    """L^p_{t,x} of a coefficient-row trajectory; node-mean in time (diagnostic only).
-
-    Sampled on the smallest exact-representation grid: adequate for a logged
-    secondary, far cheaper than the dealiasing grid.
-    """
-    M = problem.u0.box_radius
-    vals = _synthesize(U, problem.d, M, 2 * M + 1)
-    return spacetime_lp_norm(vals, p)
 
 
 def _unit_phase(angle: np.ndarray) -> np.ndarray:

@@ -171,8 +171,12 @@ def _quadrature_sizes(
         loose_t = max(int(math.ceil(time_sample_count(N, geometry) * horizon)), 64)
         loose_x = max(64, 2 * N)
     # the spatial band does not depend on theta or the horizon; the temporal one does
-    tight_t, tight_x = need_t if periodic else loose_t, _next_fast_len(need_x)
-    if even and tight_t * tight_x**d <= loose_t * loose_x**d:
+    tight_t, cap = need_t if periodic else loose_t, loose_t * loose_x**d
+    # rounding n_x up only adds cells, so a band over the cap is not rounded:
+    # _next_fast_len counts up one integer at a time and a huge p never ends
+    fits = even and tight_t * need_x**d <= cap
+    tight_x = _next_fast_len(need_x) if fits else need_x
+    if fits and tight_t * tight_x**d <= cap:
         default_t, default_x = tight_t, tight_x
     else:
         default_t, default_x = loose_t, loose_x

@@ -253,11 +253,11 @@ class TestNlsRun:
         assert aborted["truncated"] is True
 
     def test_budget_uses_the_solver_grid(self, runner, tmp_path):
-        # 3 stored states of the 5^3 box (split-step: one trajectory, Picard: 10)
+        # 3 stored states of the 5^3 box (split-step: one trajectory, Picard: 6)
         # and 4 of the 12^3 grids for each of the 3 rows of a batch
         needs = {
             "splitstep": 3 * 5**3 + 4 * 3 * grid_size(3, 2) ** 3,
-            "picard": 10 * 3 * 5**3 + 4 * 3 * grid_size(3, 2) ** 3,
+            "picard": 6 * 3 * 5**3 + 4 * 3 * grid_size(3, 2) ** 3,
         }
         for solver, need in needs.items():
             argv = ["nls-run", "--d", "3", "--N", "2", "--T", "0.02", "--dt", "1e-2",

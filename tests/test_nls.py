@@ -1,6 +1,7 @@
 """Integral-map and split-step solvers: exact solutions, symmetry, conservation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,27 @@ class TestPicard:
         traj = picard_solve(prob, 0.2, 2e-3)
         factors = [e["factor"] for e in traj.info["iterations"] if "factor" in e]
         assert factors and all(f < 0.5 for f in factors)
+
+    def test_log_entries(self):
+        traj = picard_solve(plane_wave_problem(0.1), 0.2, 2e-3)
+        log = traj.info["iterations"]
+        assert len(log) >= 2
+        for it, entry in enumerate(log, start=1):
+            assert entry["iteration"] == it
+            assert set(entry) == {"iteration", "d_h1"} | ({"factor"} if it > 1 else set())
+
+    def test_overflow_raises_without_warnings(self):
+        # the nls-run data gaussian:20 (seed 0) at N=2: the iterates overflow,
+        # and the guard, not a numpy warning, reports it
+        g = cubic_geometry()
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))
+        u0 = FrequencyField(g, 2, 20.0 * c / np.sqrt(np.sum(np.abs(c) ** 2)))
+        prob = NlsProblem(g, +1, u0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonContractionError, match="not finite"):
+                picard_solve(prob, 0.25, 0.01)
 
     def test_non_contraction_detected(self):
         prob = plane_wave_problem(1.6, M=2)

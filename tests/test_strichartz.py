@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
+from toruslab import strichartz
 from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
 from toruslab.propagator import _auto_chunk, time_sample_count
 from toruslab.strichartz import (
@@ -212,6 +213,23 @@ class TestQuadratureSizes:
         g = TorusGeometry.square(1)
         f = sweep_data("flat", 8, g)
         assert _quadrature_sizes([_field_extent(f)], 64, 8, g) == (
+            time_sample_count(8, g), 64, False
+        )
+
+    def test_huge_even_p_is_not_rounded(self, monkeypatch):
+        # at p = 1e20 the band-exact n_x is far over the cap; rounding it up to a
+        # fast length first would count up one integer at a time and never end
+        g = TorusGeometry.square(1)
+        f = sweep_data("flat", 8, g)
+        fast_len = strichartz._next_fast_len
+
+        def bounded(target):
+            if target > 8 * 8:
+                raise AssertionError(f"rounded n_x = {target} over the resolution rule's")
+            return fast_len(target)
+
+        monkeypatch.setattr(strichartz, "_next_fast_len", bounded)
+        assert _quadrature_sizes([_field_extent(f)], 1e20, 8, g) == (
             time_sample_count(8, g), 64, False
         )
 
