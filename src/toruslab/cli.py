@@ -317,8 +317,7 @@ def _parse_data_spec(spec: str, g: TorusGeometry, box: int, seed: int) -> Freque
         amp = float(args) if args else 0.01
         return FrequencyField.character(g, box, (0,) * g.d, amplitude=amp)
     if name == "character":
-        parts = args.split(":") if args else ["0.01"]
-        amp = float(parts[0])
+        amp = float(args) if args else 0.01
         k = (1,) + (0,) * (g.d - 1)
         return FrequencyField.character(g, box, k, amplitude=amp)
     if name == "gaussian":

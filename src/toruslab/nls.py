@@ -14,13 +14,14 @@ products reach +-5M and 5M = -M (mod 6M), cubic products in d = 4 reach
 +-3M and 3M = -M (mod 4M), so products of modes near the box edge alias back
 into the box.  This is an open defect (ROADMAP.md, item 1).
 
-Each round trip synthesizes the box onto the grid one axis at a time
-(propagator._synthesize) and analyzes back with the mirror primitive
-(propagator._analyze), which keeps only the box slice after each axis pass;
-both transform only the FFT pencils that carry box modes and give the bits
-of the full-grid transforms.  The energy a round trip discards outside the
-box is reported: the solvers keep its largest value in
-Trajectory.info["max_truncated_energy"].
+Both solvers share one round trip (_round_trip): synthesize the box onto the
+grid one axis at a time (propagator._synthesize), apply a pointwise map, and
+analyze back with the mirror primitive (propagator._analyze); both give the
+bits of the full-grid transforms.  Picard's map scales the values by
+sign*|u|^(4/(d-2)), split-step's rotates them by the nonlinear sub-flow's
+phase.  The solvers keep the largest energy a round trip discards outside the
+box in Trajectory.info["max_truncated_energy"].  Both solvers share one time
+grid (_time_nodes): one step rule, one stability guard.
 
 Conserved quantities (mass, theta-weighted energy) and the Sobolev norm are
 tracked per time step; their drift is the primary solver diagnostic.
@@ -29,6 +30,7 @@ tracked per time step; their drift is the primary solver diagnostic.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,16 +124,16 @@ def grid_size(d: int, M: int) -> int:
 def live_cells(d: int, M: int, T: float, dt: float, solver: str) -> int:
     """Complex cells a solve of [0, T] at step dt holds at its peak (nls-run --budget).
 
-    Split-step: its trajectory.  Picard: six trajectories (both flow phases,
-    the iterate, the work matrix that holds the flowed-back nonlinearity and
-    then its integral, and either the trapezoid's one temporary or the next
-    iterate together with the difference).  Both: four grids per row of a
-    batch (the diagnostics' or the nonlinearity's), which also covers a
-    split-step half-step.  Measured with tracemalloc on top of the
-    trajectories: a half-step 3.1-3.5 grids, a batch 1.6-2.6 grids per row
-    for split-step and about 3.2 for Picard.
+    Split-step: its trajectory, one row per node of _time_nodes.  Picard: six
+    trajectories (both flow phases, the iterate, the work matrix that holds
+    the flowed-back nonlinearity and then its integral, and either the
+    trapezoid's one temporary or the next iterate together with the
+    difference).  Both: four grids per row of a batch (the diagnostics' or
+    the nonlinearity's), which also covers a split-step half-step.  Measured
+    with tracemalloc on top of the trajectories: a half-step 3.1-3.5 grids, a
+    batch 1.6-2.6 grids per row for split-step and about 3.2 for Picard.
     """
-    n, n_states = grid_size(d, M), max(int(round(T / dt)), 1) + 1
+    n, n_states = grid_size(d, M), _step_count(T, dt) + 1
     trajectory = n_states * (2 * M + 1) ** d
     grids = 4 * min(_batch_rows(d, n), n_states) * n**d
     return (6 * trajectory if solver == "picard" else trajectory) + grids
@@ -142,54 +144,47 @@ def _batch_rows(d: int, n_grid: int) -> int:
     return max(1, BATCH_CELLS // n_grid**d)
 
 
-def _grid_to_rows(vals: np.ndarray, d: int, M: int, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analyze grid values back to box coefficients; also return truncated energy.
-
-    The truncated energy of a grid is mean |v|^2 minus the energy of the kept
-    modes: by Parseval, the energy of the modes the box discards.
-    """
-    rows = _analyze(vals, d, M, n_grid)
-    total = np.mean(np.abs(vals.reshape(vals.shape[0], -1)) ** 2, axis=1)
-    kept = np.sum(np.abs(rows) ** 2, axis=1)
-    return rows, np.maximum(total - kept, 0.0)
-
-
-def _nonlinearity_rows(
-    U: np.ndarray,
-    geometry: TorusGeometry,
-    M: int,
-    sign: int,
-    coupling: float,
-    n_grid: int,
+def _round_trip(
+    U: np.ndarray, problem: NlsProblem, pointwise: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-spectral sign*coupling*|u|^(4/(d-2)) u for a stack of coefficient rows."""
-    d = geometry.d
-    expo = 4.0 / (d - 2)
+    """Box rows U -> grid values v -> pointwise(v), in place or not -> box rows, by batches,
+    and each row's truncated energy: mean |v|^2 of the mapped grid minus the energy of the
+    kept modes, by Parseval the energy the box discards."""
+    d, M, n_grid = problem.d, problem.u0.box_radius, problem.grid_size
     out = np.empty_like(U)
     trunc = np.empty(U.shape[0])
     chunk = _batch_rows(d, n_grid)
     for lo in range(0, U.shape[0], chunk):
-        vals = _synthesize(U[lo : lo + chunk], d, M, n_grid)
-        factor = (coupling * sign) * _modulus_power(vals, expo)
+        batch = slice(lo, lo + chunk)
+        vals = pointwise(_synthesize(U[batch], d, M, n_grid))
+        out[batch] = _analyze(vals, d, M, n_grid)
+        total = np.mean(np.abs(vals.reshape(vals.shape[0], -1)) ** 2, axis=1)
+        trunc[batch] = np.maximum(total - np.sum(np.abs(out[batch]) ** 2, axis=1), 0.0)
+    return out, trunc
+
+
+def _nonlinearity_rows(U: np.ndarray, problem: NlsProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-spectral sign*coupling*|u|^(4/(d-2)) u for a stack of coefficient rows, and
+    each row's truncated energy: one round trip that scales the values in place."""
+    strength, expo = problem.coupling * problem.sign, problem.exponent
+
+    def scale(vals: np.ndarray) -> np.ndarray:
+        factor = strength * _modulus_power(vals, expo)
         parts = vals.view(np.float64).reshape(vals.shape + (2,))
         parts *= factor[..., None]  # the real factor scales both parts: no complex product
-        out[lo : lo + chunk], trunc[lo : lo + chunk] = _grid_to_rows(vals, d, M, n_grid)
-    return out, trunc
+        return vals
+
+    return _round_trip(U, problem, scale)
 
 
 def nonlinearity(u: FrequencyField, *, sign: int = 1) -> FrequencyField:
     """Pointwise power nonlinearity sign*|u|^(4/(d-2))*u, dealiased and re-boxed.
 
     The grid holds DEALIAS_FACTOR[d] points per box radius (see the module
-    docstring for the aliasing this leaves).
+    docstring for the aliasing this leaves).  As in NlsProblem, a sign other
+    than +1 or -1 raises ValueError.
     """
-    d = u.geometry.d
-    if d not in (3, 4):
-        raise ValueError(f"nonlinearity defined for d in {{3, 4}}, got {d}")
-    M = u.box_radius
-    rows, _ = _nonlinearity_rows(
-        u.coeffs.ravel()[None, :], u.geometry, M, sign, 1.0, grid_size(d, M)
-    )
+    rows, _ = _nonlinearity_rows(u.coeffs.ravel()[None, :], NlsProblem(u.geometry, sign, u))
     return u.with_coeffs(rows[0].reshape(u.coeffs.shape))
 
 
@@ -202,13 +197,11 @@ def energy(u: FrequencyField, sign: int) -> float:
     """(1/2) integral sum_j theta_j |d_j u|^2 +- ((d-2)/(2d)) integral |u|^(2d/(d-2)).
 
     The gradient term is spectral and exact; the potential term is a grid
-    quadrature on the dealiasing grid.
+    quadrature on the dealiasing grid.  As in NlsProblem, a sign other than
+    +1 or -1 raises ValueError.
     """
-    d = u.geometry.d
-    if d not in (3, 4):
-        raise ValueError("energy defined for d in {3, 4}")
-    M = u.box_radius
-    vals = _synthesize(u.coeffs.reshape(1, -1), d, M, grid_size(d, M))[0]
+    problem = NlsProblem(u.geometry, sign, u)
+    vals = _synthesize(u.coeffs.reshape(1, -1), problem.d, u.box_radius, problem.grid_size)[0]
     return _energy(u, vals, sign)
 
 
@@ -229,10 +222,19 @@ def _sup_h1(U: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(weights * np.abs(U) ** 2, axis=1))))
 
 
-def _check_dt(dt: float, geometry: TorusGeometry, M: int) -> None:
-    limit = STABILITY_GUARD / (geometry.theta_max * max(M, 1) ** 2)
-    if dt > limit:
-        raise GridTooCoarseError(f"time step {dt} exceeds the stability guard {limit:.3e}")
+def _step_count(T: float, dt: float) -> int:
+    """Steps of a solve of [0, T] at step dt: round(T/dt), half to even, at least one."""
+    return max(int(round(T / dt)), 1)
+
+
+def _time_nodes(problem: NlsProblem, T: float, dt: float) -> np.ndarray:
+    """n + 1 equispaced nodes on [0, T], n = _step_count(T, dt); a step T/n above the stability
+    guard STABILITY_GUARD / (theta_max * max(M, 1)^2) raises GridTooCoarseError."""
+    n = _step_count(T, dt)
+    limit = STABILITY_GUARD / (problem.geometry.theta_max * max(problem.u0.box_radius, 1) ** 2)
+    if T / n > limit:
+        raise GridTooCoarseError(f"time step {T / n} exceeds the stability guard {limit:.3e}")
+    return np.arange(n + 1) * (T / n)
 
 
 def _flow_phases(problem: NlsProblem, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,10 +254,7 @@ def _duhamel_integral(
 ) -> tuple[np.ndarray, float]:
     """Cumulative trapezoid of e^{-i s Delta} F(u(s)) over the trajectory nodes, built
     in place of F(u), and the largest truncated energy of the nonlinearity's round trips."""
-    M = problem.u0.box_radius
-    F, trunc = _nonlinearity_rows(
-        U, problem.geometry, M, problem.sign, problem.coupling, problem.grid_size
-    )
+    F, trunc = _nonlinearity_rows(U, problem)
     # operand order fixes the last bit of a complex product (fused multiply-adds)
     np.multiply(back, F, out=F)
     dt = times[1] - times[0]
@@ -321,11 +320,8 @@ def picard_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    M = problem.u0.box_radius
-    n_t = max(int(round(T / dt)), 1)
-    _check_dt(T / n_t, problem.geometry, M)
-    times = np.arange(n_t + 1) * (T / n_t)
-    weights = _h1_weights(problem.geometry, M)
+    times = _time_nodes(problem, T, dt)
+    weights = _h1_weights(problem.geometry, problem.u0.box_radius)
 
     phases = _flow_phases(problem, times)
     U = _free_matrix(problem, phases[0])
@@ -384,46 +380,45 @@ def split_step_evolve(
     norm exceeds 1e3 times its initial value.  info["max_truncated_energy"] is
     the largest energy a round trip discarded outside the box (0 without one).
     """
-    d = problem.d
     M = problem.u0.box_radius
-    n_steps = max(int(round(T / dt)), 1)
-    step = T / n_steps
-    _check_dt(step, problem.geometry, M)
-    n_grid = problem.grid_size
+    times = _time_nodes(problem, T, dt)
+    step = float(times[1])
     sym = _dispersion_symbol(problem.geometry, M).ravel()
     lin_phase = np.exp(-2j * np.pi * step * sym)
     weights = _h1_weights(problem.geometry, M)
     expo = problem.exponent
-    rot = -1j * problem.sign * problem.coupling * (step / 2.0)
+    angle = -problem.sign * problem.coupling * (step / 2.0)
     max_trunc = 0.0
+
+    def rotate(vals: np.ndarray) -> np.ndarray:
+        # out of place: under 256 KiB numpy keeps this operand order, which an in-place
+        # product would swap, moving the last bit (fused multiply-adds)
+        return vals * _unit_phase(angle * _modulus_power(vals, expo))
 
     def half_nonlinear(row: np.ndarray) -> np.ndarray:
         nonlocal max_trunc
         if problem.coupling == 0.0:
             return row  # phase rotation is identically 1; skip the grid round trip
-        vals = _synthesize(row[None, :], d, M, n_grid)
-        vals = vals * _unit_phase(rot.imag * _modulus_power(vals, expo))
-        rows, trunc = _grid_to_rows(vals, d, M, n_grid)
+        rows, trunc = _round_trip(row[None, :], problem, rotate)
         max_trunc = max(max_trunc, float(trunc[0]))
         return rows[0]
 
-    U = np.empty((n_steps + 1, problem.u0.coeffs.size), dtype=np.complex128)
+    U = np.empty((times.size, problem.u0.coeffs.size), dtype=np.complex128)
     U[0] = u = problem.u0.coeffs.ravel()
-    h1_initial = float(np.sqrt(np.sum(weights * np.abs(u) ** 2)))
+    h1_initial = _sup_h1(U[:1], weights)
     flagged = False
-    for i in range(1, n_steps + 1):
+    for i in range(1, times.size):
         u = half_nonlinear(u)
         u = u * lin_phase
         u = half_nonlinear(u)
         U[i] = u
-        h1 = float(np.sqrt(np.sum(weights * np.abs(u) ** 2)))
-        if h1_initial > 0 and h1 > BLOWUP_FACTOR * h1_initial:
+        if h1_initial > 0 and _sup_h1(U[i : i + 1], weights) > BLOWUP_FACTOR * h1_initial:
             flagged = True
             break
     info = {"solver": "split-step", "dt": step, "max_truncated_energy": max_trunc}
     if flagged:
         info["flag"] = "blowup"
-    return _wrap_trajectory(problem, np.arange(i + 1) * step, U[: i + 1], info)
+    return _wrap_trajectory(problem, times[: i + 1], U[: i + 1], info)
 
 
 def conservation_report(traj: Trajectory) -> dict:
@@ -454,17 +449,14 @@ def contraction_factor(problem: NlsProblem, T: float, dt: float) -> float:
     structurally, so only the flowed-back nonlinearity difference is formed.
     """
     M = problem.u0.box_radius
-    n_t = max(int(round(T / dt)), 1)
-    _check_dt(T / n_t, problem.geometry, M)
-    times = np.arange(n_t + 1) * (T / n_t)
+    times = _time_nodes(problem, T, dt)
     weights = _h1_weights(problem.geometry, M)
 
     forward, back = _flow_phases(problem, times)
     U = _free_matrix(problem, forward)
     k1 = (1,) + (0,) * (problem.d - 1)
     w0 = FrequencyField.character(problem.geometry, M, k1, amplitude=1.0)
-    wprob = NlsProblem(problem.geometry, problem.sign, w0, coupling=problem.coupling)
-    W = _free_matrix(wprob, forward)  # same geometry and box, so the same flow
+    W = w0.coeffs.ravel()[None, :] * forward  # same geometry and box, so the same flow
     delta = 0.01 * sobolev_norm(problem.u0, 1)
     V = U + delta * W
 

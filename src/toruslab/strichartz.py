@@ -107,14 +107,21 @@ def _chunk_sum(chunks) -> float:
 
 
 def evolved_lp_norm(f: FrequencyField, p: float, *, n_t: int, n_x: int) -> float:
-    """Streaming L^p_{t,x} norm of the free evolution of f on [0, 1), p >= 1 or infinity."""
+    """Streaming L^p_{t,x} norm of the free evolution of f on [0, 1), p >= 1 or infinity.
+
+    |u| peaks at the l1 norm of the coefficients; a finite p for which |u|^p
+    overflows a float raises ValueError naming p and the overflow.
+    """
     _check_exponent(p)
     _check_grid(n_t=n_t, n_x=n_x)
     ts = np.arange(n_t) * (1.0 / n_t)
     if p == np.inf:
         chunks = _stream([(f,)], ts, n_x, lambda u: _modulus_power(u, 2.0), over_x=np.max)
         return math.sqrt(max(float(np.max(top)) for top in chunks))
-    acc = _chunk_sum(_stream([(f,)], ts, n_x, lambda u: _modulus_power(u, p)))
+    with np.errstate(over="ignore"):  # the finiteness check below reports it
+        acc = _chunk_sum(_stream([(f,)], ts, n_x, lambda u: _modulus_power(u, p)))
+    if not math.isfinite(acc):
+        raise ValueError(f"|u|^p overflows a float at p = {p:g}; use a smaller p")
     return (acc / n_t) ** (1.0 / p)
 
 

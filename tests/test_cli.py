@@ -341,7 +341,10 @@ class TestUsageErrors:
             ["strichartz-sweep", "--N", "1,2,4,8", "--p", "4", "--threads", "2"],
             ["bilinear-check", "--N1", "2", "--threads", "2"],
             ["nls-run", "--threads", "2"],
-        ] + BAD_VALUES + NON_FINITE_KERNEL,
+        ] + BAD_VALUES + NON_FINITE_KERNEL + [
+            ["strichartz-sweep", "--d", "1", "--p", "2000", "--N", "1,2,4,8"],
+            ["nls-run", "--data", "character:0.3:junk"],
+        ],
     )
     def test_bad_input_exits_2(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:

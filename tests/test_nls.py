@@ -1,7 +1,9 @@
 """Integral-map and split-step solvers: exact solutions, symmetry, conservation."""
 
+import ast
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from toruslab.nls import (
 from toruslab.propagator import _synthesize, free_evolve
 
 from test_propagator import box_flat, full_grid_analyze, full_grid_synthesize
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toruslab"
 
 
 def cubic_geometry():
@@ -69,8 +73,7 @@ def full_grid_values(u, n):
 
 def truncated_energy(u):
     """Energy the round trip of nonlinearity(u) discards outside the box."""
-    d, M = u.geometry.d, u.box_radius
-    _, trunc = _nonlinearity_rows(u.coeffs.reshape(1, -1), u.geometry, M, 1, 1.0, grid_size(d, M))
+    _, trunc = _nonlinearity_rows(u.coeffs.reshape(1, -1), NlsProblem(u.geometry, 1, u))
     return float(trunc[0])
 
 
@@ -108,6 +111,14 @@ class TestProblemValidation:
     def test_exponents(self):
         assert plane_wave_problem(0.1, d=3).exponent == 4.0
         assert plane_wave_problem(0.1, d=4, M=2).exponent == 2.0
+
+    def test_public_functions_check_the_sign(self):
+        # at d = 3, sign=2 would otherwise give 2|u|^4 u
+        u = FrequencyField.character(cubic_geometry(), 2, (0, 0, 0), amplitude=0.5)
+        with pytest.raises(ValueError, match="sign"):
+            nonlinearity(u, sign=2)
+        with pytest.raises(ValueError, match="sign"):
+            energy(u, 0)
 
 
 class TestNonlinearity:
@@ -526,3 +537,40 @@ class TestLiveCells:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * live_cells(d, M, T, dt, solver)
+
+    @pytest.mark.parametrize("T, steps", [(0.0025, 2), (0.0035, 4)])
+    def test_one_step_rule(self, T, steps):
+        # round(T/dt) rounds half to even: 2.5 -> 2 steps and 3.5 -> 4 steps,
+        # in both solvers and in the count
+        d, M, dt = 3, 2, 1e-3
+        prob = random_problem(d, M, 0.25, seed=3)
+        times = split_step_evolve(prob, T, dt).times
+        assert times.size == steps + 1
+        assert np.array_equal(times, picard_solve(prob, T, dt).times)
+        n = grid_size(d, M)
+        grids = 4 * min(_batch_rows(d, n), times.size) * n**d
+        assert live_cells(d, M, T, dt, "splitstep") == times.size * (2 * M + 1) ** d + grids
+
+
+def _referrers(name: str, modules) -> set[str]:
+    """module.function for each top-level function (or class) of the package that names `name`."""
+    hits = set()
+    for path in modules:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == name) or (
+                    isinstance(node, ast.Attribute) and node.attr == name
+                ):
+                    hits.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return hits
+
+
+class TestOneRoundTrip:
+    def test_analyze_has_one_caller(self):
+        # both solvers' grid passes go through one loop
+        assert _referrers("_analyze", sorted(PACKAGE.glob("*.py"))) == {"nls._round_trip"}
+
+    def test_nls_synthesizes_in_three_places(self):
+        # the round trip, and the two diagnostics that read grid values
+        want = {"nls._round_trip", "nls.energy", "nls.compute_diagnostics"}
+        assert _referrers("_synthesize", [PACKAGE / "nls.py"]) == want

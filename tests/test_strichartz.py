@@ -124,6 +124,13 @@ class TestExponentSweep:
         with pytest.raises(ValueError):
             exponent_sweep("flat", 8.0, [8, 16, 32], g)
 
+    def test_overflowing_power_names_p(self):
+        # |u| peaks at the l1 norm of the coefficients, and that to the 2000th
+        # power is past the float range: a usage error naming p, no warning
+        g = TorusGeometry.square(1)
+        with pytest.raises(ValueError, match="overflow.*p = 2000"):
+            exponent_sweep("flat", 2000.0, [1, 2, 4, 8], g)
+
     def test_fit_validation(self):
         with pytest.raises(ValueError):
             fit_scaling([8, 4, 16, 32], [1, 1, 1, 1], 8.0, 0.1)
