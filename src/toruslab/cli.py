@@ -16,6 +16,7 @@ import json
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -78,17 +79,27 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence], meta: di
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_theta(d: int, theta: str | None) -> TorusGeometry:
+def _parse_theta(d: int, theta: list[float] | None) -> TorusGeometry:
+    """The torus of --d and --theta: one weight per axis, or one for every axis."""
     if theta is None:
         return TorusGeometry.square(d)
-    vals = tuple(float(v) for v in theta.split(","))
-    if len(vals) == 1 and d > 1:
-        vals = vals * d
-    return TorusGeometry(d=d, theta=vals)
+    theta = theta * d if len(theta) == 1 else theta
+    if len(theta) != d:
+        raise click.BadParameter(f"need one weight per axis ({d}) or one for all, got {len(theta)}", param_hint=["--theta"])
+    return TorusGeometry(d=d, theta=tuple(theta))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+def _comma_list(kind: type, text: str, flag: str) -> list:
+    """The comma list of `kind` values given to `flag`; an error names the flag."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"need a comma list of {kind.__name__}s, got {text!r}", param_hint=[flag]) from None
+
+
+def _list_option(kind: type):
+    """Click callback: _comma_list of the option's text, None when the option is absent."""
+    return lambda ctx, param, text: None if text is None else _comma_list(kind, text, param.opts[0])
 
 
 def _exponent(ctx, param, value: float) -> float:
@@ -100,13 +111,13 @@ def _exponent(ctx, param, value: float) -> float:
 
 
 def _horizons(ctx, param, text: str) -> list[float]:
-    hs = [float(v) for v in text.split(",")]
+    hs = _comma_list(float, text, param.opts[0])
     if not all(np.isfinite(h) and h > 0 for h in hs):
         raise click.BadParameter(f"horizons must be finite and > 0, got {text}", ctx, param)
     return hs
 
 
-def _guard_abort(out_dir: Path | None, config: dict, seed, exc: Exception) -> None:
+def _guard_abort(out_dir: Path | None, config: dict, seed, exc: Exception) -> NoReturn:
     payload = _meta(config, seed)
     payload["truncated"] = True
     payload["error"] = f"{type(exc).__name__}: {exc}"
@@ -136,7 +147,7 @@ def main():
 
 @main.command()
 @click.option("--d", "dim", type=int, default=1, show_default=True)
-@click.option("--theta", type=str, default=None, help="comma list of torus weights")
+@click.option("--theta", default=None, callback=_list_option(float), help="comma list of torus weights")
 @click.option("--N", "cutoff", type=int, required=True)
 @click.option("--t", "time_pt", type=float, default=0.0, show_default=True)
 @click.option("--x", "point", type=str, default=None, help="comma list: evaluate at one point")
@@ -152,7 +163,9 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
     }
     try:
         if point is not None:
-            x = [float(v) for v in point.split(",")]
+            x = _comma_list(float, point, "--x")
+            if len(x) != dim:
+                raise click.BadParameter(f"need one coordinate per axis ({dim}), got {len(x)}", param_hint=["--x"])
             value = kernel_direct(time_pt, x, cutoff, g)
             payload = _meta(config)
             payload["value"] = {"re": value.real, "im": value.imag, "abs": abs(value)}
@@ -186,18 +199,17 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
 
 @main.command("dispersive-check")
 @click.option("--d", "dim", type=int, default=1, show_default=True)
-@click.option("--theta", type=str, default=None)
-@click.option("--N", "cutoffs", type=str, required=True, help="comma list of dyadic N")
+@click.option("--theta", default=None, callback=_list_option(float))
+@click.option("--N", "n_list", required=True, callback=_list_option(int), help="comma list of dyadic N")
 @click.option("--sigma", type=float, default=0.1, show_default=True)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
 @click.option("--dump-grid", is_flag=True, default=False,
               help="also write per-time-sample kernel/bound CSVs (can be large)")
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, dump_grid, out_dir):
+def dispersive_check(dim, theta, n_list, sigma, n_t, n_x, dump_grid, out_dir):
     """Kernel-vs-bound max ratio and off-arc sup, per cutoff scale."""
     g = _parse_theta(dim, theta)
-    n_list = _parse_int_list(cutoffs)
     config = {
         "command": "dispersive-check", "d": dim, "theta": list(g.theta),
         "N": n_list, "sigma": sigma, "n_t": n_t, "n_x": n_x,
@@ -206,7 +218,6 @@ def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, dump_grid, out_dir):
         reports = [check_dispersive(N, g, sigma=sigma, n_t=n_t, n_x=n_x) for N in n_list]
     except GUARD_ERRORS as exc:
         _guard_abort(out_dir, config, None, exc)
-        return
     payload = _meta(config)
     payload["reports"] = [r.to_json_dict() for r in reports]
     ratios = [r.max_ratio_kernel_vs_bound for r in reports]
@@ -225,20 +236,19 @@ def dispersive_check(dim, theta, cutoffs, sigma, n_t, n_x, dump_grid, out_dir):
 
 @main.command("strichartz-sweep")
 @click.option("--d", "dim", type=int, default=1, show_default=True)
-@click.option("--theta", type=str, default=None)
+@click.option("--theta", default=None, callback=_list_option(float))
 @click.option("--p", "exponent", type=float, required=True, callback=_exponent)
 @click.option("--class", "data_class", type=click.Choice(["character", "flat", "random_gaussian"]), default="flat", show_default=True)
-@click.option("--N", "cutoffs", type=str, required=True)
+@click.option("--N", "n_list", required=True, callback=_list_option(int))
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
 @click.option("--emit-plot", is_flag=True, default=False,
               help="also write a gnuplot script for the sweep CSV")
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, emit_plot, out_dir):
+def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, emit_plot, out_dir):
     """Fit the growth exponent of the space-time norm against the cutoff scale."""
     g = _parse_theta(dim, theta)
-    n_list = _parse_int_list(cutoffs)
     config = {
         "command": "strichartz-sweep", "d": dim, "theta": list(g.theta), "p": exponent,
         "class": data_class, "N": n_list, "n_t": n_t, "n_x": n_x,
@@ -247,7 +257,6 @@ def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, 
         fit = exponent_sweep(data_class, exponent, n_list, g, seed=seed, n_t=n_t, n_x=n_x)
     except GUARD_ERRORS as exc:
         _guard_abort(out_dir, config, seed, exc)
-        return
     rows = [
         [data_class, dim, float(exponent), N, norm, norm / N**fit.theoretical_exponent]
         for N, norm in zip(fit.N_list, fit.norms)
@@ -278,18 +287,17 @@ def strichartz_sweep(dim, theta, exponent, data_class, cutoffs, seed, n_t, n_x, 
 
 @main.command("bilinear-check")
 @click.option("--d", "dim", type=int, default=3, show_default=True)
-@click.option("--theta", type=str, default=None)
-@click.option("--N1", "n1_list", type=str, required=True, help="comma list of high scales")
+@click.option("--theta", default=None, callback=_list_option(float))
+@click.option("--N1", "n1", required=True, callback=_list_option(int), help="comma list of high scales")
 @click.option("--T", "horizons", type=str, default="1", show_default=True, callback=_horizons)
 @click.option("--class", "data_class", type=click.Choice(["flat", "character", "random"]), default="flat", show_default=True)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def bilinear_check(dim, theta, n1_list, horizons, data_class, n_x, n_t, seed, out_dir):
+def bilinear_check(dim, theta, n1, horizons, data_class, n_x, n_t, seed, out_dir):
     """Bilinear product ratios over dyadic scale pairs and horizons."""
     g = _parse_theta(dim, theta)
-    n1 = _parse_int_list(n1_list)
     config = {
         "command": "bilinear-check", "d": dim, "theta": list(g.theta), "N1": n1,
         "T": horizons, "class": data_class, "n_x": n_x, "n_t": n_t,
@@ -298,7 +306,6 @@ def bilinear_check(dim, theta, n1_list, horizons, data_class, n_x, n_t, seed, ou
         records = bilinear_table(n1, horizons, g, data=data_class, n_x=n_x, n_t=n_t, seed=seed)
     except GUARD_ERRORS as exc:
         _guard_abort(out_dir, config, seed, exc)
-        return
     rows = [[r["N1"], r["N2"], r["T"], r["ratio"]] for r in records]
     _write_csv(Path(out_dir) / "bilinear_table.csv", ["N1", "N2", "T", "ratio"],
                rows, meta=_meta(config, seed))
@@ -311,30 +318,34 @@ def bilinear_check(dim, theta, n1_list, horizons, data_class, n_x, n_t, seed, ou
     click.echo(json.dumps({"max_ratio": payload["max_ratio"]}, sort_keys=True))
 
 
-def _parse_data_spec(spec: str, g: TorusGeometry, box: int, seed: int) -> FrequencyField:
-    name, _, args = spec.partition(":")
-    if name == "planewave":
-        amp = float(args) if args else 0.01
-        return FrequencyField.character(g, box, (0,) * g.d, amplitude=amp)
-    if name == "character":
-        amp = float(args) if args else 0.01
-        k = (1,) + (0,) * (g.d - 1)
-        return FrequencyField.character(g, box, k, amplitude=amp)
+def _data_spec(ctx, param, text: str) -> tuple[str, str, float]:
+    """Click callback for --data NAME[:AMPLITUDE]: (text, name, amplitude), amplitude 0.01 if absent."""
+    name, colon, amp_text = text.partition(":")
+    try:
+        amp = float(amp_text) if colon else 0.01
+    except ValueError:
+        amp = np.nan
+    if name not in ("planewave", "character", "gaussian") or not np.isfinite(amp):
+        raise click.BadParameter(f"need planewave, character or gaussian[:finite amplitude], got {text!r}", ctx, param)
+    return text, name, amp
+
+
+def _parse_data_spec(name: str, amp: float, g: TorusGeometry, box: int, seed: int) -> FrequencyField:
     if name == "gaussian":
-        amp = float(args) if args else 0.01
         rng = np.random.default_rng(seed)
         shape = (2 * box + 1,) * g.d
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         coeffs *= amp / np.sqrt(np.sum(np.abs(coeffs) ** 2))
         return FrequencyField(g, box, coeffs)
-    raise click.UsageError(f"unknown data spec {spec!r}")
+    k = (0,) * g.d if name == "planewave" else (1,) + (0,) * (g.d - 1)
+    return FrequencyField.character(g, box, k, amplitude=amp)
 
 
 @main.command("nls-run")
 @click.option("--d", "dim", type=click.Choice(["3", "4"]), default="3", show_default=True)
-@click.option("--theta", type=str, default=None)
+@click.option("--theta", default=None, callback=_list_option(float))
 @click.option("--sign", type=click.Choice(["defocusing", "focusing"]), default="defocusing", show_default=True)
-@click.option("--data", "data_spec", type=str, default="planewave:0.01", show_default=True)
+@click.option("--data", default="planewave:0.01", show_default=True, callback=_data_spec, help="NAME[:AMPLITUDE]")
 @click.option("--N", "box", type=click.IntRange(min=1), default=8, show_default=True,
               help="coefficient box radius")
 @click.option("--T", "horizon", type=float, default=0.25, show_default=True)
@@ -344,12 +355,13 @@ def _parse_data_spec(spec: str, g: TorusGeometry, box: int, seed: int) -> Freque
 @click.option("--dump-fields", is_flag=True, default=False)
 @click.option("--budget", type=int, default=1 << 24, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fields, budget, out_dir):
+def nls_run(dim, theta, sign, data, box, horizon, dt, solver, seed, dump_fields, budget, out_dir):
     """Run the critical-power solver and write per-step conservation diagnostics."""
     if not 0 < dt <= horizon < np.inf:
         raise click.UsageError(f"need 0 < dt <= T < inf, got dt={dt}, T={horizon}")
     d = int(dim)
     g = _parse_theta(d, theta)
+    data_spec, name, amp = data
     config = {
         "command": "nls-run", "d": d, "theta": list(g.theta), "sign": sign,
         "data": data_spec, "N": box, "T": horizon, "dt": dt, "solver": solver,
@@ -358,7 +370,7 @@ def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fi
         cells = live_cells(d, box, horizon, dt, solver)
         if cells > budget:
             raise BudgetExceededError(f"{cells} live {solver} cells exceed budget {budget}")
-        u0 = _parse_data_spec(data_spec, g, box, seed)
+        u0 = _parse_data_spec(name, amp, g, box, seed)
         problem = NlsProblem(g, +1 if sign == "defocusing" else -1, u0)
         if solver == "picard":
             traj = picard_solve(problem, horizon, dt)
@@ -366,7 +378,6 @@ def nls_run(dim, theta, sign, data_spec, box, horizon, dt, solver, seed, dump_fi
             traj = split_step_evolve(problem, horizon, dt)
     except GUARD_ERRORS as exc:
         _guard_abort(out_dir, config, seed, exc)
-        return
     out_dir = Path(out_dir)
     diag = traj.diagnostics
     rows = [
@@ -436,7 +447,7 @@ def f2hat(omega, window):
 @click.option("--N", "level", type=int, required=True)
 @click.option("--sigma", type=float, default=0.1, show_default=True)
 @click.option("--d", "dim", type=int, default=1, show_default=True)
-@click.option("--theta", type=str, default=None)
+@click.option("--theta", default=None, callback=_list_option(float))
 def major_arc(time_pt, level, sigma, dim, theta):
     """Arc membership of a time, with witness."""
     g = _parse_theta(dim, theta)

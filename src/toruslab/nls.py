@@ -16,12 +16,13 @@ into the box.  This is an open defect (ROADMAP.md, item 1).
 
 Both solvers share one round trip (_round_trip): synthesize the box onto the
 grid one axis at a time (propagator._synthesize), apply a pointwise map, and
-analyze back with the mirror primitive (propagator._analyze); both give the
-bits of the full-grid transforms.  Picard's map scales the values by
-sign*|u|^(4/(d-2)), split-step's rotates them by the nonlinear sub-flow's
-phase.  The solvers keep the largest energy a round trip discards outside the
-box in Trajectory.info["max_truncated_energy"].  Both solvers share one time
-grid (_time_nodes): one step rule, one stability guard.
+analyze back with the mirror primitive (propagator._analyze), in batches of
+propagator._auto_chunk(n^d) rows for an n^d grid.  Picard's map scales the
+values by sign*|u|^(4/(d-2)), split-step's rotates them by the nonlinear
+sub-flow's phase.  The solvers keep the largest energy a round trip
+discards outside the box in Trajectory.info["max_truncated_energy"].  Both
+solvers share one time grid (_time_nodes): one step rule, one stability
+guard.
 
 Conserved quantities (mass, theta-weighted energy) and the Sobolev norm are
 tracked per time step; their drift is the primary solver diagnostic.
@@ -37,7 +38,7 @@ import numpy as np
 
 from .core import FrequencyField, TorusGeometry, _dispersion_symbol, _modulus_power, sobolev_norm
 from .errors import GridTooCoarseError, NonContractionError
-from .propagator import _analyze, _synthesize
+from .propagator import _analyze, _auto_chunk, _synthesize
 
 #: Pseudo-spectral grid multiple of the box radius per dimension.
 DEALIAS_FACTOR = {3: 6, 4: 4}
@@ -47,9 +48,6 @@ STABILITY_GUARD = 1.0
 
 #: Abort threshold for the split-step blow-up guard, relative to the initial H1 norm.
 BLOWUP_FACTOR = 1.0e3
-
-#: Grid cells per batched round trip (at least one row): about 1 MiB of complex values.
-BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,19 +127,16 @@ def live_cells(d: int, M: int, T: float, dt: float, solver: str) -> int:
     the flowed-back nonlinearity and then its integral, and either the
     trapezoid's one temporary or the next iterate together with the
     difference).  Both: four grids per row of a batch (the diagnostics' or
-    the nonlinearity's), which also covers a split-step half-step.  Measured
-    with tracemalloc on top of the trajectories: a half-step 3.1-3.5 grids, a
-    batch 1.6-2.6 grids per row for split-step and about 3.2 for Picard.
+    the nonlinearity's: propagator._auto_chunk(n^d) rows of the n^d grid, or
+    fewer when the trajectory is shorter), which also covers a split-step
+    half-step.  Measured with tracemalloc on top of the trajectories: a
+    half-step 3.1-3.5 grids, a batch 1.6-2.6 grids per row for split-step
+    and about 3.2 for Picard.
     """
     n, n_states = grid_size(d, M), _step_count(T, dt) + 1
     trajectory = n_states * (2 * M + 1) ** d
-    grids = 4 * min(_batch_rows(d, n), n_states) * n**d
+    grids = 4 * min(_auto_chunk(n**d), n_states) * n**d
     return (6 * trajectory if solver == "picard" else trajectory) + grids
-
-
-def _batch_rows(d: int, n_grid: int) -> int:
-    """Rows per batch so one batch's grids hold about BATCH_CELLS cells."""
-    return max(1, BATCH_CELLS // n_grid**d)
 
 
 def _round_trip(
@@ -153,7 +148,7 @@ def _round_trip(
     d, M, n_grid = problem.d, problem.u0.box_radius, problem.grid_size
     out = np.empty_like(U)
     trunc = np.empty(U.shape[0])
-    chunk = _batch_rows(d, n_grid)
+    chunk = _auto_chunk(n_grid**d)
     for lo in range(0, U.shape[0], chunk):
         batch = slice(lo, lo + chunk)
         vals = pointwise(_synthesize(U[batch], d, M, n_grid))
@@ -289,7 +284,7 @@ def compute_diagnostics(traj: Trajectory, problem: NlsProblem) -> dict:
     strength = problem.sign * problem.coupling
     out = {k: np.empty(traj.times.size) for k in ("mass", "energy", "h1", "linf")}
     states = traj.states
-    chunk = _batch_rows(problem.d, n_grid)
+    chunk = _auto_chunk(n_grid**problem.d)
     for lo in range(0, len(states), chunk):
         grids = _synthesize(traj.rows[lo : lo + chunk], problem.d, M, n_grid)
         for i, (state, vals) in enumerate(zip(states[lo : lo + chunk], grids), start=lo):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -174,50 +174,28 @@ def kernel_grid(t: float, n_x: int, N: int, geometry: TorusGeometry) -> KernelEv
     return KernelEvaluation(N=N, geometry=geometry, t=t, n_x=n_x, values=values)
 
 
-@lru_cache(maxsize=64)
-def _flat_positions(d: int, M: int, n_x: int) -> np.ndarray:
-    """Row-major flat indices of box modes on the n_x^d grid; cached, so returned read-only."""
-    axis = np.arange(-M, M + 1) % n_x
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    flat = np.ravel_multi_index([g.ravel() for g in grids], (n_x,) * d).astype(np.int64)
-    flat.setflags(write=False)
-    return flat
-
-
 def _synthesize(rows: np.ndarray, d: int, M: int, n_x: int) -> np.ndarray:
     """Grid values on the n_x^d grid of each row of box coefficients (batched inverse FFT).
 
-    The grid is inverse-transformed one axis at a time, axes 1..d in turn,
-    and the first pass carries the 1/n_x^d factor, so the values are those of
-    scipy's ifftn over the full grid.  When the grid holds the box
-    (n_x >= 2M+1) each axis is zero-padded just before its pass, so only the
-    pencils that can hold a nonzero value are transformed (an all-zero pencil
-    transforms to zero).  Otherwise the box is first scatter-added onto the
-    full grid: modes beyond the grid's unambiguous band fold onto their
-    aliases, which is the correct pointwise sampling semantics.
+    One loop over axes 1..d: each pass places mode k at index k mod n_x along
+    its axis, then runs the unscaled inverse transform (norm="forward"), so
+    the values are sum_k c_k e(k.x) at the grid points.  When the grid holds
+    the box (n_x >= 2M+1) the placement is two slice copies into zeros, so
+    only the pencils that can hold a nonzero value are transformed (an
+    all-zero pencil transforms to zero).  On a smaller grid colliding modes
+    are added (np.add.at), so modes beyond the grid's unambiguous band fold
+    onto their aliases: the correct pointwise sampling semantics.
     """
-    cells = n_x**d
-    lead = (rows.shape[0],)
-    folded = n_x < 2 * M + 1
-    if folded:
-        vals = np.zeros(lead + (cells,), dtype=np.complex128)
-        np.add.at(vals, (slice(None), _flat_positions(d, M, n_x)), rows)
-        vals = vals.reshape(lead + (n_x,) * d)
-    else:
-        vals = rows.reshape(lead + (2 * M + 1,) * d)
+    vals = rows.reshape((rows.shape[0],) + (2 * M + 1,) * d)
     for axis in range(1, d + 1):
-        if not folded:
-            head = (slice(None),) * axis
-            buf = np.zeros(vals.shape[:axis] + (n_x,) + vals.shape[axis + 1 :], dtype=np.complex128)
+        head = (slice(None),) * axis
+        buf = np.zeros(vals.shape[:axis] + (n_x,) + vals.shape[axis + 1 :], dtype=np.complex128)
+        if n_x >= 2 * M + 1:
             buf[head + (slice(0, M + 1),)] = vals[head + (slice(M, None),)]
             buf[head + (slice(n_x - M, None),)] = vals[head + (slice(0, M),)]
-            vals = buf
-        vals = _fft.ifft(vals, axis=axis, norm="forward", overwrite_x=True)
-        if axis == 1:
-            # as scipy's ifftn: each component times 1/n_x^d computed in long double
-            parts = vals.view(np.float64)
-            parts *= float(1 / np.longdouble(cells))
-    vals *= cells
+        else:
+            np.add.at(buf, head + (np.arange(-M, M + 1) % n_x,), vals)
+        vals = _fft.ifft(buf, axis=axis, norm="forward", overwrite_x=True)
     return vals
 
 
@@ -241,14 +219,21 @@ def _analyze(vals: np.ndarray, d: int, M: int, n_x: int) -> np.ndarray:
 
 
 def _auto_chunk(cells: int) -> int:
-    # keep per-chunk buffers near 1 MiB so batched FFT rows stay cache-resident
-    return int(min(4096, max(16, (1 << 16) // max(cells, 1))))
+    """Rows per batch of `cells`-cell rows: the package's one batch rule.
+
+    A batch holds about 2^16 cells (1 MiB of complex values), so batched FFT
+    rows stay cache-resident; it has at least one row and at most 4096.
+    """
+    return int(min(4096, max(1, (1 << 16) // max(cells, 1))))
 
 
 def iter_evolved_grids(f: FrequencyField, ts: np.ndarray, n_x: int):
     """Yield (time slice, grid values) chunks of the free evolution of f.
 
     Grid values are exact samples of the synthesized function (see _synthesize).
+    A chunk holds _auto_chunk(n_x^d) times: 16 or more up to 4096 cells per
+    grid, fewer above.  Its phased rows hold (2M+1)^d cells per time, so on a
+    grid smaller than the box they, not the grids, set the chunk's memory.
     """
     d, M = f.geometry.d, f.box_radius
     sym = _dispersion_symbol(f.geometry, M).ravel()

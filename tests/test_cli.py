@@ -225,7 +225,7 @@ class TestNlsRun:
     def test_field_dump(self, runner, tmp_path):
         # every dumped state reads back with the bits of the library solve
         g = TorusGeometry.square(3)
-        problem = NlsProblem(g, +1, _parse_data_spec("gaussian:0.25", g, 2, 7))
+        problem = NlsProblem(g, +1, _parse_data_spec("gaussian", 0.25, g, 2, 7))
         for solver, solve in (("splitstep", split_step_evolve), ("picard", picard_solve)):
             out = tmp_path / solver
             result = runner.invoke(main, [
@@ -315,6 +315,23 @@ NON_FINITE_KERNEL = [
     ["kernel", "--N", "4", "--d", "2", "--x", "0.1,inf"],
 ]
 
+#: A malformed list or data spec, or a list whose length does not fit --d, passed last with its flag.
+BAD_LISTS = [
+    ["strichartz-sweep", "--p", "4", "--N", "1,x"],
+    ["dispersive-check", "--N", "8,abc"],
+    ["bilinear-check", "--N1", "2,y"],
+    ["bilinear-check", "--N1", "2", "--T", "1,z"],
+    ["kernel", "--N", "4", "--theta", "1,abc"],
+    ["kernel", "--N", "4", "--d", "2", "--theta", "1,1,1"],
+    ["kernel", "--N", "4", "--x", "0.1,0.2"],
+    ["arith", "major-arc", "--t", "0.3", "--N", "8", "--theta", "1,q"],
+    ["nls-run", "--data", "planewave:abc"],
+    ["nls-run", "--data", "bogus"],
+    ["nls-run", "--data", "planewave:"],
+    ["nls-run", "--data", "planewave:inf"],
+    ["nls-run", "--data", "gaussian:0.1:2"],
+]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -344,7 +361,7 @@ class TestUsageErrors:
         ] + BAD_VALUES + NON_FINITE_KERNEL + [
             ["strichartz-sweep", "--d", "1", "--p", "2000", "--N", "1,2,4,8"],
             ["nls-run", "--data", "character:0.3:junk"],
-        ],
+        ] + BAD_LISTS,
     )
     def test_bad_input_exits_2(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
@@ -354,7 +371,7 @@ class TestUsageErrors:
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output
 
-    @pytest.mark.parametrize("argv", BAD_VALUES)
+    @pytest.mark.parametrize("argv", BAD_VALUES + BAD_LISTS)
     def test_bad_value_names_its_flag(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, argv)

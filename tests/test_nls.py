@@ -12,7 +12,6 @@ from toruslab.core import FrequencyField, TorusGeometry, _dispersion_symbol, sob
 from toruslab.errors import GridTooCoarseError, NonContractionError
 from toruslab.nls import (
     NlsProblem,
-    _batch_rows,
     _duhamel_matrix,
     _flow_phases,
     _free_matrix,
@@ -30,7 +29,7 @@ from toruslab.nls import (
     plane_wave_phase,
     split_step_evolve,
 )
-from toruslab.propagator import _synthesize, free_evolve
+from toruslab.propagator import _auto_chunk, _synthesize, free_evolve
 
 from test_propagator import box_flat, full_grid_analyze, full_grid_synthesize
 
@@ -473,7 +472,7 @@ class TestDiagnostics:
         prob = random_problem(d, 2, 0.1, seed=50 + d, sign=-1)
         traj = split_step_evolve(prob, 0.04, 1e-3)
         n = prob.grid_size
-        assert len(traj.states) > _batch_rows(d, n)
+        assert len(traj.states) > _auto_chunk(n**d)
         for i, state in enumerate(traj.states):
             vals = _synthesize(state.coeffs.reshape(1, -1), d, 2, n)[0]
             assert traj.diagnostics["mass"][i] == mass(state)
@@ -548,7 +547,7 @@ class TestLiveCells:
         assert times.size == steps + 1
         assert np.array_equal(times, picard_solve(prob, T, dt).times)
         n = grid_size(d, M)
-        grids = 4 * min(_batch_rows(d, n), times.size) * n**d
+        grids = 4 * min(_auto_chunk(n**d), times.size) * n**d
         assert live_cells(d, M, T, dt, "splitstep") == times.size * (2 * M + 1) ** d + grids
 
 
