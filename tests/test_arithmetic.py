@@ -145,6 +145,14 @@ class TestDirichlet:
                 r = dirichlet_approx(betas[i], N)
                 assert (r.a, r.q) == (a[i], q[i])
 
+    def test_batch_reduces_mod_one_as_scalar(self):
+        # a beta outside [0, 1] gets the certificate of its reduction mod 1
+        betas = np.array([1.5, -0.25, 2.7])
+        a, q = dirichlet_approx_batch(betas, 16)
+        want = [dirichlet_approx(b, 16) for b in betas]
+        assert [(int(x), int(y)) for x, y in zip(a, q)] == [(r.a, r.q) for r in want]
+        assert [(r.a, r.q) for r in want] == [(1, 2), (3, 4), (7, 10)]
+
     def test_type_invariants_enforced(self):
         with pytest.raises(ValueError):
             RationalApprox(a=2, q=4, beta=0.5, N=8)  # not reduced

@@ -38,6 +38,21 @@ class TestKernelCommand:
         result = runner.invoke(main, ["kernel", "--d", "1", "--N", "8", "--n-x", "2"])
         assert result.exit_code == 1
 
+    def test_budget_is_guard_abort(self, runner):
+        # a 20-cell grid against a 10-cell budget: the abort record goes to stderr
+        result = runner.invoke(main, ["kernel", "--N", "4", "--budget", "10"])
+        assert result.exit_code == 1
+        aborted = json.loads(result.stderr)
+        assert aborted["truncated"] is True
+        assert aborted["error"].startswith("BudgetExceededError")
+
+    def test_point_record_written(self, runner, tmp_path):
+        result = runner.invoke(main, ["kernel", "--N", "4", "--x", "0", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0
+        record = json.loads((tmp_path / "kernel_point.json").read_text())
+        assert record == json.loads(result.output)
+        assert record["config"]["x"] == "0"
+
     def test_grid_dump(self, runner, tmp_path):
         result = runner.invoke(
             main, ["kernel", "--d", "1", "--N", "2", "--t", "0.25", "--out-dir", str(tmp_path)]
@@ -176,6 +191,17 @@ class TestSweepCommands:
             assert len(dump) - 2 == rep["grid"]["n_t"]
             ratios = [float(line.split(",")[3]) for line in dump[2:]]
             assert max(ratios) == rep["max_ratio_kernel_vs_bound"]
+
+    def test_dispersive_coarse_grid_is_guard_abort(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "dispersive-check", "--N", "8", "--n-x", "16", "--out-dir", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        aborted = json.loads((tmp_path / "aborted.json").read_text())
+        assert aborted["truncated"] is True
+        assert aborted["config"]["n_x"] == 16
+        assert "need n_x >= 33" in aborted["error"]
+        assert not (tmp_path / "dispersive_report.json").exists()
 
     def test_plot_emission(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -332,6 +358,16 @@ BAD_LISTS = [
     ["nls-run", "--data", "gaussian:0.1:2"],
 ]
 
+#: A --d out of its command's range, or a --theta weight outside (0, 1], passed last with its flag.
+BAD_TORUS = [
+    ["kernel", "--N", "4", "--theta", "1.5"],
+    ["dispersive-check", "--N", "8", "--theta", "0"],
+    ["kernel", "--N", "4", "--theta", "1,1", "--d", "5"],
+    ["kernel", "--N", "4", "--d", "5"],
+    ["arith", "major-arc", "--t", "0.5", "--N", "16", "--d", "7"],
+    ["bilinear-check", "--N1", "2", "--d", "2"],
+]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -361,7 +397,7 @@ class TestUsageErrors:
         ] + BAD_VALUES + NON_FINITE_KERNEL + [
             ["strichartz-sweep", "--d", "1", "--p", "2000", "--N", "1,2,4,8"],
             ["nls-run", "--data", "character:0.3:junk"],
-        ] + BAD_LISTS,
+        ] + BAD_LISTS + BAD_TORUS,
     )
     def test_bad_input_exits_2(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
@@ -371,7 +407,7 @@ class TestUsageErrors:
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output
 
-    @pytest.mark.parametrize("argv", BAD_VALUES + BAD_LISTS)
+    @pytest.mark.parametrize("argv", BAD_VALUES + BAD_LISTS + BAD_TORUS)
     def test_bad_value_names_its_flag(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, argv)

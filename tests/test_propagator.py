@@ -367,6 +367,17 @@ def test_auto_chunk_floor_is_one_row():
     assert propagator._auto_chunk(1) == 4096
 
 
+def test_time_chunk_holds_the_phased_box():
+    # n_x = 1 < 2M+1 = 17: the 17^2-cell phased box, not the 1-cell grid, sizes the chunk
+    g = TorusGeometry(2, (1.0, IRRATIONAL))
+    f = FrequencyField.character(g, 8, (0, 0))
+    ts = np.arange(4096) / 4096
+    sizes = [tslice.size for tslice, _ in iter_evolved_grids(f, ts, 1)]
+    chunk = propagator._auto_chunk(17**2)
+    assert sizes == [chunk] * (ts.size // chunk) + [ts.size % chunk]
+    assert propagator._time_chunk([f], 1) == chunk
+
+
 class TestSampleSpacetime:
     def test_constant_field(self):
         g = TorusGeometry.square(1)

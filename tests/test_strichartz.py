@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ class TestSpacetimeLpNorm:
             assert evolved_lp_norm(f, p, n_t=n_t, n_x=n_x) == pytest.approx(
                 spacetime_lp_norm(samples, p), rel=1e-12
             )
+
+    def test_folded_stream_stays_small(self):
+        # the sweep's own sizes put the 17^2-mode box on a one-point grid over
+        # 4096 times; a chunk sized by the grid held all 4096 phased rows (36 MiB)
+        g = TorusGeometry(2, (1.0, IRRATIONAL))
+        f = sweep_data("character", 8, g)
+        n_t, n_x, _ = _quadrature_sizes([_field_extent(f)], 4, 8, g)
+        assert (n_t, n_x) == (4096, 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            norm = evolved_lp_norm(f, 4, n_t=n_t, n_x=n_x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(1.0, rel=1e-12)
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("p", [0, 0.5, -2, np.nan, -np.inf])
     def test_one_exponent_rule(self, p):
