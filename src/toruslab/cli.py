@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import PHI_PROFILE_ID, FrequencyField, TorusGeometry
+from .core import PHI_PROFILE_ID, FrequencyField, TorusGeometry, is_dyadic
 from .arithmetic import (
     MajorArcParams,
     dirichlet_approx,
@@ -35,7 +35,7 @@ from .errors import BoxTooSmallError, BudgetExceededError, GridTooCoarseError, N
 from .io import write_field
 from .nls import NlsProblem, conservation_report, live_cells, picard_solve, split_step_evolve
 from .propagator import kernel_direct, kernel_grid
-from .strichartz import _check_exponent, bilinear_table, exponent_sweep
+from .strichartz import _check_exponent, _check_scales, bilinear_table, exponent_sweep
 
 GUARD_ERRORS = (BudgetExceededError, GridTooCoarseError, BoxTooSmallError, NonContractionError)
 
@@ -103,6 +103,22 @@ def _comma_list(kind: type, text: str, flag: str) -> list:
 def _list_option(kind: type):
     """Click callback: _comma_list of the option's text, None when the option is absent."""
     return lambda ctx, param, text: None if text is None else _comma_list(kind, text, param.opts[0])
+
+
+def _dyadic_list(least: int, rule=lambda ns: ns):
+    """Click callback: the option's comma list of powers of two >= least, passed through rule
+    (which may raise ValueError), all before the command runs; every error names the option."""
+
+    def parse(ctx, param, text: str) -> list[int]:
+        ns = _comma_list(int, text, param.opts[0])
+        try:
+            if not all(is_dyadic(n) and n >= least for n in ns):
+                raise ValueError(f"need powers of two >= {least}, got {text}")
+            return rule(ns)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), ctx, param) from None
+
+    return parse
 
 
 def _exponent(ctx, param, value: float) -> float:
@@ -203,7 +219,7 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
 @main.command("dispersive-check")
 @click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
 @click.option("--theta", default=None, callback=_list_option(float))
-@click.option("--N", "n_list", required=True, callback=_list_option(int), help="comma list of dyadic N")
+@click.option("--N", "n_list", required=True, callback=_dyadic_list(2), help="comma list of dyadic N >= 2")
 @click.option("--sigma", type=float, default=0.1, show_default=True)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
@@ -242,7 +258,8 @@ def dispersive_check(dim, theta, n_list, sigma, n_t, n_x, dump_grid, out_dir):
 @click.option("--theta", default=None, callback=_list_option(float))
 @click.option("--p", "exponent", type=float, required=True, callback=_exponent)
 @click.option("--class", "data_class", type=click.Choice(["character", "flat", "random_gaussian"]), default="flat", show_default=True)
-@click.option("--N", "n_list", required=True, callback=_list_option(int))
+@click.option("--N", "n_list", required=True, callback=_dyadic_list(1, _check_scales),
+              help="increasing comma list of at least 4 dyadic N")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
@@ -288,7 +305,7 @@ def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, e
 @main.command("bilinear-check")
 @click.option("--d", "dim", type=click.IntRange(3, 4), default=3, show_default=True)
 @click.option("--theta", default=None, callback=_list_option(float))
-@click.option("--N1", "n1", required=True, callback=_list_option(int), help="comma list of high scales")
+@click.option("--N1", "n1", required=True, callback=_dyadic_list(1), help="comma list of dyadic high scales")
 @click.option("--T", "horizons", type=str, default="1", show_default=True, callback=_horizons)
 @click.option("--class", "data_class", type=click.Choice(["flat", "character", "random"]), default="flat", show_default=True)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)

@@ -7,8 +7,11 @@ The kernel at cutoff scale N is the quadratic-phase exponential sum
 Two evaluation paths exist: an exactly-rounded direct summation (the oracle,
 lexicographic k order, compensated accumulation via math.fsum) and FFT
 synthesis on uniform grids (the fast path).  Tests pin one against the other.
-Evolution multiplies coefficients by unimodular phases, hence is exactly
-unitary on the coefficient side.
+Evolution multiplies coefficients by unimodular phases, hence is unitary on
+the coefficient side up to rounding.  Every free-flow phase
+e(-t sum_j theta_j k_j^2) over a box is built by one builder (_flow); only the
+kernel slice's recurrence (_axis_phases) and the direct-summation oracle
+build theirs apart.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from . import _fft
-from .core import FrequencyField, TorusGeometry, _dispersion_symbol, bump, require_dyadic
+from .core import FrequencyField, TorusGeometry, bump, require_dyadic
 from .errors import GridTooCoarseError
 
 #: Samples per period of the fastest temporal phase when integrating in t.
@@ -44,10 +47,24 @@ class KernelEvaluation:
     values: np.ndarray
 
 
+def _flow(geometry: TorusGeometry, M: int, ts) -> np.ndarray:
+    """Rows e(-t sum_j theta_j k_j^2) over the box [-M, M]^d in row-major order, one per t in ts.
+
+    Each row is the product of the per-axis phases e(-t theta_j k_j^2), so one
+    exp runs per (time, axis, mode), not per box cell.  The angle
+    2 pi t theta_j k_j^2 takes about two roundings relative and each product
+    one, so a row is within (4 pi t sum_j theta_j M^2 + 2d) machine epsilons
+    of the phases reduced exactly mod 1 (an oracle test pins this).
+    """
+    k2 = np.arange(-M, M + 1, dtype=float) ** 2
+    axes = [np.exp(np.multiply.outer(ts, theta * k2) * (-2j * np.pi)) for theta in geometry.theta]
+    # the outer product per time, axis by axis: the last axis varies fastest, as in the box
+    return reduce(lambda rows, axis: (rows[:, :, None] * axis[:, None, :]).reshape(len(rows), -1), axes)
+
+
 def free_evolve(f: FrequencyField, t: float) -> FrequencyField:
     """Multiply each coefficient by exp(-2*pi*i*t*sum_j theta_j k_j^2)."""
-    sym = _dispersion_symbol(f.geometry, f.box_radius)
-    return f.with_coeffs(f.coeffs * np.exp(-2j * np.pi * t * sym))
+    return f.with_coeffs(f.coeffs * _flow(f.geometry, f.box_radius, [t]).reshape(f.coeffs.shape))
 
 
 def _check_finite(name: str, value) -> None:
@@ -167,10 +184,9 @@ def kernel_grid(t: float, n_x: int, N: int, geometry: TorusGeometry) -> KernelEv
     _check_finite("t", t)
     if n_x < 4 * N + 1:
         raise GridTooCoarseError(f"need n_x >= {4 * N + 1} to hold the symbol, got {n_x}")
-    k, w = _kernel_axis_symbol(N)
-    axes = [w * np.exp(-2j * np.pi * t * th * k * k) for th in geometry.theta]
-    sym = reduce(np.multiply.outer, axes)
-    values = _synthesize(sym.reshape(1, -1), geometry.d, 2 * N, n_x)[0]
+    w = _kernel_axis_symbol(N)[1]
+    sym = _flow(geometry, 2 * N, [t]) * reduce(np.multiply.outer, [w] * geometry.d).ravel()
+    values = _synthesize(sym, geometry.d, 2 * N, n_x)[0]
     return KernelEvaluation(N=N, geometry=geometry, t=t, n_x=n_x, values=values)
 
 
@@ -241,17 +257,18 @@ def _time_chunk(fields, n_x: int) -> int:
 def iter_evolved_grids(f: FrequencyField, ts: np.ndarray, n_x: int):
     """Yield (time slice, grid values) chunks of the free evolution of f.
 
-    Grid values are exact samples of the synthesized function (see _synthesize).
+    Each chunk's coefficients are f's times the _flow rows of its times, and
+    its grid values are exact samples of the synthesized function (see
+    _synthesize); a time's values do not depend on the other times in its chunk.
     A chunk holds _time_chunk([f], n_x) times, so its phased rows and its
     grids both stay near 1 MiB, on a grid smaller than the box too.  A slice
     of at most _time_chunk(fields, n_x) times, for any fields including f,
     comes back as one chunk.
     """
     d, M = f.geometry.d, f.box_radius
-    sym = _dispersion_symbol(f.geometry, M).ravel()
     base = f.coeffs.ravel()
     chunk = _time_chunk([f], n_x)
     for lo in range(0, ts.size, chunk):
         tslice = ts[lo : lo + chunk]
         # the phased rows are a temporary, so a suspended generator holds only its grid
-        yield tslice, _synthesize(base[None, :] * np.exp(-2j * np.pi * np.outer(tslice, sym)), d, M, n_x)
+        yield tslice, _synthesize(_flow(f.geometry, M, tslice) * base, d, M, n_x)

@@ -7,18 +7,22 @@ polynomial whose spatial band is at most 2mB per axis, B the largest |k_j| in
 the support; when every theta_j is an integer u is 1-periodic in t and the
 temporal band is at most mS, S the spread of sum_j theta_j k_j^2 over the
 support.  So n_x = next_fast_len(2mB+1) and n_t = mS+1 give the norm exactly
-on [0, 1) (a bilinear product adds the factors' bands and spreads).  The
-spatial band does not depend on theta or the horizon, so for even p with a
-non-integer weight or a horizon other than 1 the band-exact n_x is used with
-the resolution rule's n_t.  In every other case (odd or fractional p, or
-band-exact sizes costing more cells than the resolution rule) the sizes
-resolve the fastest quadratic phase with 16 time samples per period, with
-n_x = 8N in d = 1 and 4N otherwise (max(64, 2N1) for bilinear products).
-Only an even p on integer weights over [0, 1) is exact; the other values are
-approximations, and each choice reports whether it is exact.
-Every space-time integral streams through one reducer (_stream) over time
-chunks and never materializes the space-time array; tensor-product bilinear
-data runs as one 1-d field per coordinate.
+on [0, 1) (a bilinear product adds the factors' bands and spreads).  When
+S = 0 every mode has one symbol, so |u| does not depend on t and n_t = 1 is
+exact on any torus and horizon.  The spatial band does not depend on theta or
+the horizon, so for even p with S > 0 and a non-integer weight or a horizon
+other than 1 the band-exact n_x is used with the resolution rule's n_t.  In
+every other case (odd or fractional p, or band-exact sizes costing more cells
+than the resolution rule) the sizes resolve the fastest quadratic phase with
+16 time samples per period, with n_x = 8N in d = 1 and 4N otherwise
+(max(64, 2N1) for bilinear products).  Only an even p on integer weights
+over [0, 1), or with S = 0, is exact; the other values are approximations,
+and each choice reports whether it is exact.
+Every space-time integral streams through one reducer (_stream), which
+never materializes the space-time array: it fills one vector of per-time
+values chunk by chunk, and each norm reduces that vector once, so a norm does
+not depend on the time chunk.  Tensor-product bilinear data runs as one 1-d
+field per coordinate.
 """
 
 from __future__ import annotations
@@ -74,15 +78,18 @@ def spacetime_lp_norm(samples: np.ndarray, p) -> float:
     return scale * float(np.mean(a**p) ** (1.0 / p))
 
 
-def _stream(groups, ts: np.ndarray, n_x: int, integrand, over_x=np.mean):
-    """Per time chunk, prod_g over_x integrand(prod_{f in g} e^{it Delta} f), one value per time.
+def _stream(groups, ts: np.ndarray, n_x: int, integrand, over_x=np.mean) -> np.ndarray:
+    """prod_g over_x integrand(prod_{f in g} e^{it Delta} f) at each time of ts, as one vector.
 
     The time chunk is decided once, for every field of every group
     (propagator._time_chunk), so each field's iter_evolved_grids yields a
     slice as one chunk and the fields' grids line up time for time even when
     their boxes differ.  A group's grids live until the next group's are
-    made, so the heap holds at most two groups' grids.
+    made, so the heap holds at most two groups' grids.  Each time's value is
+    computed from that time's grids alone, so the vector, and a norm that
+    reduces it once, does not depend on the chunk.
     """
+    out = np.empty(ts.size)
     chunk = _time_chunk([f for group in groups for f in group], n_x)
     for lo in range(0, ts.size, chunk):
         tslice = ts[lo : lo + chunk]
@@ -91,15 +98,8 @@ def _stream(groups, ts: np.ndarray, n_x: int, integrand, over_x=np.mean):
             grids = [next(iter_evolved_grids(f, tslice, n_x))[1] for f in group]
             # the group's product is a temporary
             reds.append(over_x(integrand(reduce(np.multiply, grids)), axis=tuple(range(1, grids[0].ndim))))
-        yield reduce(np.multiply, reds)
-
-
-def _chunk_sum(chunks) -> float:
-    """Sum of the streamed per-time values, accumulated chunk by chunk."""
-    acc = 0.0
-    for vals in chunks:
-        acc += float(np.sum(vals))
-    return acc
+        out[lo : lo + chunk] = reduce(np.multiply, reds)
+    return out
 
 
 def evolved_lp_norm(f: FrequencyField, p: float, *, n_t: int, n_x: int) -> float:
@@ -112,10 +112,10 @@ def evolved_lp_norm(f: FrequencyField, p: float, *, n_t: int, n_x: int) -> float
     _check_grid(n_t=n_t, n_x=n_x)
     ts = np.arange(n_t) * (1.0 / n_t)
     if p == np.inf:
-        chunks = _stream([(f,)], ts, n_x, lambda u: _modulus_power(u, 2.0), over_x=np.max)
-        return math.sqrt(max(float(np.max(top)) for top in chunks))
+        tops = _stream([(f,)], ts, n_x, lambda u: _modulus_power(u, 2.0), over_x=np.max)
+        return math.sqrt(float(np.max(tops)))
     with np.errstate(over="ignore"):  # the finiteness check below reports it
-        acc = _chunk_sum(_stream([(f,)], ts, n_x, lambda u: _modulus_power(u, p)))
+        acc = float(np.sum(_stream([(f,)], ts, n_x, lambda u: _modulus_power(u, p))))
     if not math.isfinite(acc):
         raise ValueError(f"|u|^p overflows a float at p = {p:g}; use a smaller p")
     return (acc / n_t) ** (1.0 / p)
@@ -154,9 +154,9 @@ def _quadrature_sizes(
     extents holds each factor's (band, spread): one factor for a norm, two for
     a bilinear product (p = 2).  For even p the band-exact n_x is used, with
     the band-exact n_t when every theta_j is an integer and the horizon is 1
-    and with the resolution rule's n_t otherwise, whenever that needs no more
-    cells than the resolution rule at scale N (see the module docstring),
-    which is used otherwise.  Explicit sizes win and must be >= 1, as the
+    or when the spread is 0 (n_t = 1), and with the resolution rule's n_t
+    otherwise, whenever that needs no more cells than the resolution rule at
+    scale N (see the module docstring), which is used otherwise.  Explicit sizes win and must be >= 1, as the
     horizon must be finite and > 0; exact says whether the sizes used
     integrate the trigonometric polynomial |u|^p exactly.
     """
@@ -165,7 +165,8 @@ def _quadrature_sizes(
     band = sum(b for b, _ in extents)
     spread = sum(s for _, s in extents)
     even = float(p).is_integer() and int(p) % 2 == 0
-    periodic = all(float(th).is_integer() for th in geometry.theta) and horizon == 1.0
+    # with spread 0 every mode has one symbol, so |u| does not depend on t
+    periodic = spread == 0 or (all(float(th).is_integer() for th in geometry.theta) and horizon == 1.0)
     m = int(p) // 2 if even else 0
     need_t, need_x = m * int(round(spread)) + 1, 2 * m * band + 1
     if len(extents) == 1:
@@ -251,6 +252,16 @@ def fit_scaling(N_list, norms, p: float, theoretical: float) -> ScalingFit:
     )
 
 
+def _check_scales(N_list) -> list[int]:
+    """The scales of a sweep as ints: at least 4 powers of two, strictly increasing."""
+    N_list = [require_dyadic(n) for n in N_list]
+    if len(N_list) < 4:
+        raise ValueError("need at least 4 values of N for a slope fit")
+    if not all(b > a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError(f"N_list must be strictly increasing, got {N_list}")
+    return N_list
+
+
 def exponent_sweep(
     data_class: str,
     p: float,
@@ -260,10 +271,11 @@ def exponent_sweep(
     n_t: int | None = None,
     n_x: int | None = None,
 ) -> ScalingFit:
-    """Measure ||evolved data||_{L^p_{t,x}} across N and fit the log-log slope."""
-    N_list = [int(n) for n in N_list]
-    if len(N_list) < 4:
-        raise ValueError("need at least 4 values of N for a slope fit")
+    """Measure ||evolved data||_{L^p_{t,x}} across N and fit the log-log slope.
+
+    N_list is checked (_check_scales) before any norm is computed.
+    """
+    N_list = _check_scales(N_list)
     _check_exponent(p)  # before the sizes rule reads p
     norms, quadrature = [], []
     for N in N_list:
@@ -298,7 +310,7 @@ def _bilinear_norm(groups, extents, N1: int, geometry: TorusGeometry, horizon, n
         raise ValueError("bilinear check requires d >= 3")
     n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
     ts = np.arange(n_t) * (horizon / n_t)
-    return math.sqrt(horizon * _chunk_sum(_stream(groups, ts, n_x, lambda u: np.abs(u) ** 2)) / n_t)
+    return math.sqrt(horizon * float(np.sum(_stream(groups, ts, n_x, lambda u: np.abs(u) ** 2))) / n_t)
 
 
 def bilinear_ratio(
@@ -406,10 +418,10 @@ def bilinear_table(
     """
     for horizon in horizons:
         _check_grid(horizon, n_t, n_x)
+    N1_list = [require_dyadic(n, "N1") for n in N1_list]
     rng = np.random.default_rng(seed)
     records = []
     for N1 in N1_list:
-        require_dyadic(N1)
         n2_values = [n for n in (2**j for j in range(0, 12)) if n <= N1]
         for N2 in n2_values:
             axes_f = [band_axis_coeffs(data, N1, rng) for _ in range(geometry.d)]

@@ -226,8 +226,9 @@ class TestSweepCommands:
             (int(a), int(b), float(t)) for a, b, t, _ in (r.split(",") for r in rows[2:])
         ]
         assert all((q["n_t"], q["n_x"]) == (256, 16) for q in quad)
-        # T < 1 is never exact; at T = 1, N1 = N2 = 4 needs n_x >= 2 * (4 + 4) + 1
-        assert [q["exact"] for q in quad] == [True, False, True, False, True, False,
+        # T < 1 is exact only at N1 = N2 = 2, whose flat shells {-2, 2} have spread 0;
+        # at T = 1, N1 = N2 = 4 needs n_x >= 2 * (4 + 4) + 1
+        assert [q["exact"] for q in quad] == [True, False, True, True, True, False,
                                               True, False, False, False]
 
 
@@ -369,6 +370,17 @@ BAD_TORUS = [
 ]
 
 
+#: A scale list that is not dyadic, too small, too short or out of order, passed last with its flag.
+BAD_SCALES = [
+    ["strichartz-sweep", "--p", "4", "--N", "32,8,4,2"],
+    ["strichartz-sweep", "--p", "4", "--N", "2,4,8,12"],
+    ["strichartz-sweep", "--p", "4", "--N", "8,16"],
+    ["dispersive-check", "--d", "2", "--N", "64,3"],
+    ["dispersive-check", "--N", "1"],
+    ["bilinear-check", "--N1", "32,3"],
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -397,7 +409,7 @@ class TestUsageErrors:
         ] + BAD_VALUES + NON_FINITE_KERNEL + [
             ["strichartz-sweep", "--d", "1", "--p", "2000", "--N", "1,2,4,8"],
             ["nls-run", "--data", "character:0.3:junk"],
-        ] + BAD_LISTS + BAD_TORUS,
+        ] + BAD_LISTS + BAD_TORUS + BAD_SCALES,
     )
     def test_bad_input_exits_2(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
@@ -407,7 +419,7 @@ class TestUsageErrors:
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output
 
-    @pytest.mark.parametrize("argv", BAD_VALUES + BAD_LISTS + BAD_TORUS)
+    @pytest.mark.parametrize("argv", BAD_VALUES + BAD_LISTS + BAD_TORUS + BAD_SCALES)
     def test_bad_value_names_its_flag(self, runner, tmp_path, argv):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, argv)

@@ -573,3 +573,17 @@ class TestOneRoundTrip:
         # the round trip, and the two diagnostics that read grid values
         want = {"nls._round_trip", "nls.energy", "nls.compute_diagnostics"}
         assert _referrers("_synthesize", [PACKAGE / "nls.py"]) == want
+
+    def test_one_phase_builder(self):
+        # every free-flow phase comes from propagator._flow; the other exps are the
+        # bump's, the spatial characters', the direct-summation oracle's and the plane wave's
+        modules = sorted(PACKAGE.glob("*.py"))
+        assert _referrers("exp", modules) == {
+            "core._psi", "core.synthesize", "propagator._flow", "propagator.kernel_direct",
+            "nls.plane_wave_phase",
+        }
+        assert _referrers("_flow", modules) == {
+            "propagator.free_evolve", "propagator.kernel_grid", "propagator.iter_evolved_grids",
+            "nls._flow_phases", "nls.split_step_evolve",
+        }
+        assert _referrers("_dispersion_symbol", [PACKAGE / "propagator.py"]) == set()

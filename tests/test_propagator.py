@@ -1,5 +1,6 @@
 """Free evolution unitarity and the two kernel evaluation paths."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,11 @@ import pytest
 import scipy.fft
 
 from toruslab import _fft, propagator
-from toruslab.core import FrequencyField, TorusGeometry, bump, sobolev_norm, synthesize
+from toruslab.core import FrequencyField, TorusGeometry, _dispersion_symbol, bump, sobolev_norm, synthesize
 from toruslab.dispersive import SWEEP_TIME_CAP, refocusing_times, sweep_time_grid
 from toruslab.errors import GridTooCoarseError
 from toruslab.propagator import (
     _analyze,
-    _dispersion_symbol,
     _synthesize,
     free_evolve,
     kernel_axis_max_abs,
@@ -72,6 +72,33 @@ class TestFreeEvolve:
         with pytest.raises(ValueError):
             sym.ravel()[0] += 1.0
         assert _dispersion_symbol(g, 3) is sym
+
+
+def exact_flow_rows(g, M, ts):
+    """_flow's rows from exact phases: t sum_j theta_j k_j^2 reduced mod 1 in rationals, then one exp."""
+    theta = [Fraction(th) for th in g.theta]
+    modes = list(itertools.product(range(-M, M + 1), repeat=g.d))
+    out = np.empty((len(ts), len(modes)), dtype=np.complex128)
+    for i, t in enumerate(ts):
+        tt = Fraction(float(t))
+        frac = [float(tt * sum(th * k * k for th, k in zip(theta, ks)) % 1) for ks in modes]
+        out[i] = np.exp(-2j * np.pi * np.array(frac))
+    return out
+
+
+class TestFlow:
+    @pytest.mark.parametrize("d, M", [(1, 64), (1, 7), (2, 16), (3, 6), (4, 3)])
+    def test_matches_exact_phases(self, d, M):
+        # the angle 2 pi t theta_j k_j^2 takes about two relative roundings, so it is
+        # off by about 4 pi t theta_j k_j^2 epsilons, and the exp and the d - 1
+        # products add a few more: every row is within (4 pi t sum_j theta_j M^2 + 2d) epsilons
+        rng = np.random.default_rng(d * 100 + M)
+        ts = np.concatenate(([0.0, 0.5, 1 - 2**-20, 2**-30], rng.random(6)))
+        for theta in ((1.0,) * d, (IRRATIONAL,) * d, tuple(rng.uniform(0.05, 1.0, d))):
+            g = TorusGeometry(d, theta)
+            err = np.max(np.abs(propagator._flow(g, M, ts) - exact_flow_rows(g, M, ts)), axis=1)
+            bound = (4 * np.pi * ts * sum(theta) * M * M + 2 * d) * np.finfo(float).eps
+            assert np.all(err <= bound), (theta, np.max(err / bound))
 
 
 class TestKernelDirect:

@@ -75,11 +75,11 @@ class TestSpacetimeLpNorm:
             )
 
     def test_folded_stream_stays_small(self):
-        # the sweep's own sizes put the 17^2-mode box on a one-point grid over
-        # 4096 times; a chunk sized by the grid held all 4096 phased rows (36 MiB)
+        # the sizes rule puts the 17^2-mode box on a one-point grid; over 4096
+        # times a chunk sized by the grid held all 4096 phased rows (36 MiB)
         g = TorusGeometry(2, (1.0, IRRATIONAL))
         f = sweep_data("character", 8, g)
-        n_t, n_x, _ = _quadrature_sizes([_field_extent(f)], 4, 8, g)
+        n_t, n_x, _ = _quadrature_sizes([_field_extent(f)], 4, 8, g, n_t=4096)
         assert (n_t, n_x) == (4096, 1)
         tracemalloc.start()
         try:
@@ -148,6 +148,30 @@ class TestExponentSweep:
         g = TorusGeometry.square(1)
         with pytest.raises(ValueError, match="overflow.*p = 2000"):
             exponent_sweep("flat", 2000.0, [1, 2, 4, 8], g)
+
+    @pytest.mark.parametrize("N_list", [[32, 8, 4, 2], [2, 4, 8, 12], [4, 4, 8, 16]])
+    def test_scales_checked_before_any_norm(self, N_list, monkeypatch):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("a norm was computed before the scales were checked")
+
+        monkeypatch.setattr(strichartz, "evolved_lp_norm", no_norm)
+        with pytest.raises(ValueError, match="increasing|power of two"):
+            exponent_sweep("flat", 4.0, N_list, TorusGeometry.square(1))
+
+    def test_bilinear_scales_checked_before_any_ratio(self, monkeypatch):
+        def no_ratio(*args, **kwargs):
+            raise AssertionError("a ratio was computed before the scales were checked")
+
+        monkeypatch.setattr(strichartz, "bilinear_ratio_tensor", no_ratio)
+        with pytest.raises(ValueError, match="N1 must be a power of two"):
+            bilinear_table([32, 3], [1.0], TorusGeometry.square(3))
+
+    def test_spread_zero_sweep_takes_one_time(self):
+        # a character has |u| = 1 at every time, on any torus: one time is exact
+        g = TorusGeometry(2, (1.0, IRRATIONAL))
+        fit = exponent_sweep("character", 4.0, [2, 4, 8, 16], g)
+        assert all((q["n_t"], q["n_x"], q["exact"]) == (1, 1, True) for q in fit.quadrature)
+        assert fit.norms == pytest.approx([1.0] * 4, rel=1e-15)
 
     def test_fit_validation(self):
         with pytest.raises(ValueError):
@@ -300,8 +324,9 @@ class TestQuadratureSizes:
             assert n_x < 8 * N
             fine = evolved_lp_norm(f, 6, n_t=n_t, n_x=4 * n_x)
             assert evolved_lp_norm(f, 6, n_t=n_t, n_x=n_x) == pytest.approx(fine, rel=1e-13)
+            # character data have spread 0: |u| is constant in t, so one time is exact
             char = sweep_data("character", N, g)
-            assert _quadrature_sizes([_field_extent(char)], 6, N, g)[:2] == (n_t, 1)
+            assert _quadrature_sizes([_field_extent(char)], 6, N, g) == (1, 1, True)
 
     def test_short_horizon_takes_band_exact_space_grid(self):
         g = TorusGeometry.square(3)
@@ -317,11 +342,41 @@ class TestQuadratureSizes:
 
     def test_bilinear_table_records_quadrature(self):
         g = TorusGeometry.square(3)
+        # character data have spread 0, so one time is exact at every horizon
         records = bilinear_table([4], (1.0, 0.5), g, data="character")
+        assert {r["T"] for r in records} == {1.0, 0.5}
         for r in records:
-            assert r["exact"] == (r["T"] == 1.0)
-            if r["exact"]:
-                assert r["n_t"] == 1 and r["n_x"] >= 2 * (4 + r["N2"]) + 1
+            assert r["exact"]
+            assert r["n_t"] == 1 and r["n_x"] >= 2 * (4 + r["N2"]) + 1
+
+
+class TestChunkIndependence:
+    """A norm reduces its vector of per-time values once, so the time chunk moves no bit."""
+
+    @staticmethod
+    def one_time_per_chunk(monkeypatch):
+        monkeypatch.setattr(strichartz, "_time_chunk", lambda fields, n_x: 1)
+
+    @pytest.mark.parametrize(
+        "d, theta, cls, p, N",
+        [(1, (1.0,), "flat", 6, 64), (2, (1.0, IRRATIONAL), "random_gaussian", 4, 8)],
+    )
+    def test_norm(self, monkeypatch, d, theta, cls, p, N):
+        g = TorusGeometry(d, theta)
+        f = sweep_data(cls, N, g, seed=3)
+        n_t, n_x, _ = _quadrature_sizes([_field_extent(f)], p, N, g)
+        assert n_t > strichartz._time_chunk([f], n_x)  # the default streams several chunks
+        norm = evolved_lp_norm(f, p, n_t=n_t, n_x=n_x)
+        self.one_time_per_chunk(monkeypatch)
+        assert evolved_lp_norm(f, p, n_t=n_t, n_x=n_x) == norm
+
+    def test_bilinear_row(self, monkeypatch):
+        g = TorusGeometry(3, (1.0, IRRATIONAL, 0.3))
+        axes_f = [band_axis_coeffs("flat", 16)] * 3
+        axes_h = [band_axis_coeffs("flat", 4)] * 3
+        ratio = bilinear_ratio_tensor(axes_f, 16, axes_h, 4, g)
+        self.one_time_per_chunk(monkeypatch)
+        assert bilinear_ratio_tensor(axes_f, 16, axes_h, 4, g) == ratio
 
 
 class TestGalileiCovariance:
