@@ -166,37 +166,41 @@ def farey_atoms(Q: int) -> list[Fraction]:
 
 
 def farey_atoms_float(Q: int) -> np.ndarray:
+    """farey_atoms(Q) as a sorted float array, each atom rounded to the nearest double."""
     return np.array([float(x) for x in farey_atoms(Q)])
 
 
+def _window_divisors(n: int, Q: int) -> list[int]:
+    """Divisors q of n >= 1 with Q <= q < 2Q.
+
+    Whichever loop is shorter: the window scan (Q steps) or trial division up
+    to isqrt(n), where each divisor dv <= sqrt(n) brings its cofactor n // dv.
+    """
+    root = math.isqrt(n)
+    if Q <= root:
+        return [q for q in range(Q, 2 * Q) if n % q == 0]
+    pairs = {q for dv in range(1, root + 1) if n % dv == 0 for q in (dv, n // dv)}
+    return [q for q in pairs if Q <= q < 2 * Q]
+
+
 def divisor_count_dyadic(n: int, Q: int) -> int:
-    """Number of divisors q of n with Q <= q < 2Q, by trial division up to sqrt(n)."""
+    """Number of divisors q of n with Q <= q < 2Q (_window_divisors)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     require_dyadic(Q, "Q")
-    count = 0
-    root = math.isqrt(n)
-    for dv in range(1, root + 1):
-        if n % dv:
-            continue
-        other = n // dv
-        if Q <= dv < 2 * Q:
-            count += 1
-        if other != dv and Q <= other < 2 * Q:
-            count += 1
-    return count
+    return len(_window_divisors(n, Q))
 
 
 def f2_hat(omega: int, Q: int) -> int:
-    """Sum of q over divisors q ~ Q of omega; every q divides omega = 0.
+    """Sum of q over divisors q ~ Q of omega; every q divides omega = 0, giving Q(3Q-1)/2.
 
     Equals the exponential sum sum_{q~Q} sum_{a=0}^{q-1} e^{2 pi i a omega / q}.
     """
     require_dyadic(Q, "Q")
     w = abs(int(omega))
     if w == 0:
-        return sum(range(Q, 2 * Q))
-    return sum(q for q in range(Q, 2 * Q) if w % q == 0)
+        return Q * (3 * Q - 1) // 2
+    return sum(_window_divisors(w, Q))
 
 
 def divisor_tail_count(R: int, Q: int, D: float, budget: int = 10**8) -> int:

@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import PHI_PROFILE_ID, FrequencyField, TorusGeometry, is_dyadic
+from .core import PHI_PROFILE_ID, FrequencyField, TorusGeometry, is_dyadic, require_dyadic
 from .arithmetic import (
     MajorArcParams,
     dirichlet_approx,
@@ -176,6 +176,7 @@ def main():
 def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
     """Evaluate the frequency-localized propagator kernel (point or grid dump)."""
     g = _parse_theta(dim, theta)
+    require_dyadic(cutoff, "--N")  # a usage error before either budget check
     config = {
         "command": "kernel", "d": dim, "theta": list(g.theta), "N": cutoff,
         "t": time_pt, "x": point, "n_x": n_x,
@@ -185,6 +186,8 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
             x = _comma_list(float, point, "--x")
             if len(x) != dim:
                 raise click.BadParameter(f"need one coordinate per axis ({dim}), got {len(x)}", param_hint=["--x"])
+            if (4 * cutoff + 1) ** dim > budget:
+                raise BudgetExceededError(f"{4 * cutoff + 1}^{dim} direct-sum terms exceed budget {budget}")
             value = kernel_direct(time_pt, x, cutoff, g)
             payload = _meta(config)
             payload["value"] = {"re": value.real, "im": value.imag, "abs": abs(value)}

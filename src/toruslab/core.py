@@ -254,12 +254,18 @@ def _modulus_power(vals: np.ndarray, r: float) -> np.ndarray:
         abs2 = abs2 * abs2
 
 
+def _h1_rows(power: np.ndarray, d: int, M: int) -> np.ndarray:
+    """Isotropic H1 norm sqrt(sum_k (1 + |k|^2) |c_k|^2) of each row of |c|^2 over the box
+    [-M, M]^d; sobolev_norm(., 1) is its one-row case."""
+    weights = 1.0 + _dispersion_symbol(TorusGeometry.square(d), M).ravel()
+    return np.sqrt(np.sum(weights * power, axis=1))
+
+
 def sobolev_norm(f: FrequencyField, s) -> float:
     """H^s norm with isotropic weight (1+|k|^2)^s; only s in {0, 1} is supported."""
     if s not in (0, 1, 0.0, 1.0):
         raise ValueError(f"only s in {{0, 1}} is supported, got {s}")
     power = np.abs(f.coeffs) ** 2
     if s:
-        square = TorusGeometry.square(f.geometry.d)
-        power = power * (1.0 + _dispersion_symbol(square, f.box_radius))
+        return float(_h1_rows(power.reshape(1, -1), f.geometry.d, f.box_radius)[0])
     return float(np.sqrt(np.sum(power)))

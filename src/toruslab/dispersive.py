@@ -85,6 +85,12 @@ def dispersive_bound(t: float, N: int, geometry: TorusGeometry) -> float:
 
 
 def dispersive_bound_batch(ts: np.ndarray, N: int, geometry: TorusGeometry) -> np.ndarray:
+    """dispersive_bound at every time of ts, as an array shaped like ts.
+
+    Each theta_j t is reduced mod 1 and certified in one batch
+    (arithmetic.dirichlet_approx_batch), so a value equals dispersive_bound
+    at that time.
+    """
     require_dyadic(N)
     ts = np.asarray(ts, dtype=float)
     out = np.ones(ts.shape)

@@ -25,7 +25,14 @@ solvers share one time grid (_time_nodes): one step rule, one stability
 guard.
 
 Conserved quantities (mass, theta-weighted energy) and the Sobolev norm are
-tracked per time step; their drift is the primary solver diagnostic.
+tracked per time step; their drift is the primary solver diagnostic.  One
+pass computes them (compute_diagnostics): per batch of trajectory rows, |c|^2
+once for the mass, the kinetic term and the H1 norm, and one synthesis for
+the potential term and the sup norm; energy() is that pass on one row.  One
+per-row H1 norm (core._h1_rows, isotropic weight 1 + |k|^2, of which
+core.sobolev_norm(., 1) is the one-row case) serves the diagnostics,
+Picard's convergence test, split-step's blow-up guard and
+contraction_factor; the initial data's H1 norm is core.sobolev_norm.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrequencyField, TorusGeometry, _dispersion_symbol, _modulus_power, sobolev_norm
+from .core import FrequencyField, TorusGeometry, _dispersion_symbol, _h1_rows, _modulus_power, sobolev_norm
 from .errors import GridTooCoarseError, NonContractionError
 from .propagator import _analyze, _auto_chunk, _flow, _synthesize
 
@@ -129,10 +136,12 @@ def live_cells(d: int, M: int, T: float, dt: float, solver: str) -> int:
     difference).  Both: four grids per row of a batch (the diagnostics' or
     the nonlinearity's: propagator._auto_chunk(n^d) rows of the n^d grid, or
     fewer when the trajectory is shorter), which also covers a split-step
-    half-step.  Measured with tracemalloc on top of the trajectories: a
-    half-step 2.7-3.3 grids (d=3, M = 4, 8; d=4, M = 2, 4; its peak falls in
-    the rotation's phase or in the analysis pass), a batch 1.6-2.6
-    grids per row for split-step and about 3.2 for Picard.
+    half-step.  Measured with tracemalloc on top of the trajectories (d=3,
+    M = 4, 8; d=4, M = 2, 4): a half-step 2.7-3.3 grids (its peak falls in
+    the rotation's phase or in the analysis pass); a diagnostics batch
+    2.5-2.6 grids per row at d=3 and 2.1 at d=4 (the grids, then the power
+    chain of the potential term); a Picard round-trip batch 2.6-3.0 grids
+    per row beyond its output rows.
     """
     n, n_states = grid_size(d, M), _step_count(T, dt) + 1
     trajectory = n_states * (2 * M + 1) ** d
@@ -193,29 +202,12 @@ def energy(u: FrequencyField, sign: int) -> float:
     """(1/2) integral sum_j theta_j |d_j u|^2 +- ((d-2)/(2d)) integral |u|^(2d/(d-2)).
 
     The gradient term is spectral and exact; the potential term is a grid
-    quadrature on the dealiasing grid.  As in NlsProblem, a sign other than
-    +1 or -1 raises ValueError.
+    quadrature on the dealiasing grid: the energy column of compute_diagnostics
+    on u's one row.  As in NlsProblem, a sign other than +1 or -1 raises
+    ValueError.
     """
-    problem = NlsProblem(u.geometry, sign, u)
-    vals = _synthesize(u.coeffs.reshape(1, -1), problem.d, u.box_radius, problem.grid_size)[0]
-    return _energy(u, vals, sign)
-
-
-def _energy(u: FrequencyField, vals: np.ndarray, strength: float) -> float:
-    """Spectral kinetic term plus strength times the potential quadrature of the grid values."""
-    d = u.geometry.d
-    sym = _dispersion_symbol(u.geometry, u.box_radius)
-    kinetic = 0.5 * (2.0 * np.pi) ** 2 * float(np.sum(sym * np.abs(u.coeffs) ** 2))
-    potential = float(np.mean(_modulus_power(vals, 2.0 * d / (d - 2))))
-    return kinetic + strength * ((d - 2) / (2.0 * d)) * potential
-
-
-def _h1_weights(geometry: TorusGeometry, M: int) -> np.ndarray:
-    return (1.0 + _dispersion_symbol(TorusGeometry.square(geometry.d), M)).ravel()
-
-
-def _sup_h1(U: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sqrt(np.max(np.sum(weights * np.abs(U) ** 2, axis=1))))
+    traj = Trajectory(np.zeros(1), u.coeffs.reshape(1, -1), u.geometry, u.box_radius)
+    return float(compute_diagnostics(traj, NlsProblem(u.geometry, sign, u))["energy"][0])
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -278,21 +270,31 @@ def _wrap_trajectory(
 
 
 def compute_diagnostics(traj: Trajectory, problem: NlsProblem) -> dict:
-    """Mass, energy, H1 norm, and sup-norm per trajectory time."""
-    M = problem.u0.box_radius
-    n_grid = problem.grid_size
-    strength = problem.sign * problem.coupling
+    """Mass, energy, H1 norm, and sup-norm per trajectory time, in one pass over the rows.
+
+    The rows go by batches of propagator._auto_chunk(n^d) for the n^d grid.
+    A batch's |c|^2, taken once, gives the mass, the kinetic term and the H1
+    norm (core._h1_rows); one synthesis of the batch gives the potential term
+    (the grid mean of |u|^(2d/(d-2))) and the sup.  Each value has the bits of
+    the per-state formula: mass, energy and core.sobolev_norm(., 1).
+    """
+    d, M, n_grid = problem.d, problem.u0.box_radius, problem.grid_size
+    sym = _dispersion_symbol(problem.geometry, M).ravel()
+    strength = problem.sign * problem.coupling * ((d - 2) / (2.0 * d))
+    grid_axes = tuple(range(1, d + 1))
     out = {k: np.empty(traj.times.size) for k in ("mass", "energy", "h1", "linf")}
-    states = traj.states
-    chunk = _auto_chunk(n_grid**problem.d)
-    for lo in range(0, len(states), chunk):
-        grids = _synthesize(traj.rows[lo : lo + chunk], problem.d, M, n_grid)
-        for i, (state, vals) in enumerate(zip(states[lo : lo + chunk], grids), start=lo):
-            out["mass"][i] = mass(state)
-            out["energy"][i] = _energy(state, vals, strength)
-            out["h1"][i] = sobolev_norm(state, 1)
-            out["linf"][i] = float(np.max(np.abs(vals)))
-        del grids, vals  # freed before the next batch is synthesized, not after
+    chunk = _auto_chunk(n_grid**d)
+    for lo in range(0, traj.times.size, chunk):
+        batch = slice(lo, lo + chunk)
+        power = np.abs(traj.rows[batch]) ** 2
+        grids = _synthesize(traj.rows[batch], d, M, n_grid)
+        out["linf"][batch] = np.max(np.abs(grids), axis=grid_axes)
+        potential = np.mean(_modulus_power(grids, 2.0 * d / (d - 2)), axis=grid_axes)
+        del grids  # freed before the next batch is synthesized, not after
+        out["mass"][batch] = 0.5 * np.sum(power, axis=1)
+        kinetic = 0.5 * (2.0 * np.pi) ** 2 * np.sum(sym * power, axis=1)
+        out["energy"][batch] = kinetic + strength * potential
+        out["h1"][batch] = _h1_rows(power, d, M)
     return out
 
 
@@ -316,8 +318,6 @@ def picard_solve(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     times = _time_nodes(problem, T, dt)
-    weights = _h1_weights(problem.geometry, problem.u0.box_radius)
-
     phases = _flow_phases(problem, times)
     U = _free_matrix(problem, phases[0])
     log: list[dict] = []
@@ -327,7 +327,7 @@ def picard_solve(
         # a blow-up overflows on the way; the finiteness check reports it
         with np.errstate(over="ignore", invalid="ignore"):
             V, trunc = _duhamel_matrix(U, problem, times, phases)
-            d_h1 = _sup_h1(V - U, weights)
+            d_h1 = float(np.max(_h1_rows(np.abs(V - U) ** 2, problem.d, problem.u0.box_radius)))
         if not math.isfinite(d_h1):
             raise NonContractionError(
                 f"fixed-point iterate {it} is not finite; reduce the data or the horizon"
@@ -380,7 +380,6 @@ def split_step_evolve(
     times = _time_nodes(problem, T, dt)
     step = float(times[1])
     lin_phase = _flow(problem.geometry, M, [step])[0]
-    weights = _h1_weights(problem.geometry, M)
     expo = problem.exponent
     angle = -problem.sign * problem.coupling * (step / 2.0)
     max_trunc = 0.0
@@ -401,14 +400,14 @@ def split_step_evolve(
 
     U = np.empty((times.size, problem.u0.coeffs.size), dtype=np.complex128)
     U[0] = u = problem.u0.coeffs.ravel()
-    h1_initial = _sup_h1(U[:1], weights)
+    h1_initial = sobolev_norm(problem.u0, 1)
     flagged = False
     for i in range(1, times.size):
         u = half_nonlinear(u)
         u = u * lin_phase
         u = half_nonlinear(u)
         U[i] = u
-        if h1_initial > 0 and _sup_h1(U[i : i + 1], weights) > BLOWUP_FACTOR * h1_initial:
+        if h1_initial > 0 and _h1_rows(np.abs(U[i : i + 1]) ** 2, problem.d, M)[0] > BLOWUP_FACTOR * h1_initial:
             flagged = True
             break
     info = {"solver": "split-step", "dt": step, "max_truncated_energy": max_trunc}
@@ -446,8 +445,6 @@ def contraction_factor(problem: NlsProblem, T: float, dt: float) -> float:
     """
     M = problem.u0.box_radius
     times = _time_nodes(problem, T, dt)
-    weights = _h1_weights(problem.geometry, M)
-
     forward, back = _flow_phases(problem, times)
     U = _free_matrix(problem, forward)
     k1 = (1,) + (0,) * (problem.d - 1)
@@ -459,9 +456,8 @@ def contraction_factor(problem: NlsProblem, T: float, dt: float) -> float:
     I_u, _ = _duhamel_integral(U, problem, times, back)
     I_v, _ = _duhamel_integral(V, problem, times, back)
     # Phi(v)-Phi(u) = e^{it Delta}(-i)(I_v - I_u); the phases preserve H1.
-    num = _sup_h1(I_v - I_u, weights)
-    den = _sup_h1(V - U, weights)
-    return num / den
+    num = np.max(_h1_rows(np.abs(I_v - I_u) ** 2, problem.d, M))
+    return float(num / np.max(_h1_rows(np.abs(V - U) ** 2, problem.d, M)))
 
 
 def plane_wave_phase(amplitude: float, sign: int, d: int, t):

@@ -50,14 +50,19 @@ class KernelEvaluation:
 def _flow(geometry: TorusGeometry, M: int, ts) -> np.ndarray:
     """Rows e(-t sum_j theta_j k_j^2) over the box [-M, M]^d in row-major order, one per t in ts.
 
-    Each row is the product of the per-axis phases e(-t theta_j k_j^2), so one
-    exp runs per (time, axis, mode), not per box cell.  The angle
-    2 pi t theta_j k_j^2 takes about two roundings relative and each product
-    one, so a row is within (4 pi t sum_j theta_j M^2 + 2d) machine epsilons
-    of the phases reduced exactly mod 1 (an oracle test pins this).
+    Each row is the product of the per-axis phases e(-r_j k_j^2) with
+    r_j = fmod(t theta_j, 1), so one exp runs per (time, axis, mode), not per
+    box cell.  The fmod is exact, so where the product t theta_j is exact
+    (theta_j = 1) the phases repeat with period 1 in t, bit for bit, and lose
+    no accuracy as t grows.  The product t theta_j takes one rounding
+    relative to |t| theta_j, the angle 2 pi r_j k_j^2 about three relative to
+    |r_j|, and each of the d - 1 products one, so a row is within
+    (pi sum_j (|t| theta_j + 3 |r_j|) M^2 + 2d) machine epsilons of the
+    exact phases reduced mod 1 (an oracle test pins this).
     """
     k2 = np.arange(-M, M + 1, dtype=float) ** 2
-    axes = [np.exp(np.multiply.outer(ts, theta * k2) * (-2j * np.pi)) for theta in geometry.theta]
+    ts = np.asarray(ts, dtype=float)
+    axes = [np.exp(np.multiply.outer(np.fmod(ts * theta, 1.0), k2) * (-2j * np.pi)) for theta in geometry.theta]
     # the outer product per time, axis by axis: the last axis varies fastest, as in the box
     return reduce(lambda rows, axis: (rows[:, :, None] * axis[:, None, :]).reshape(len(rows), -1), axes)
 
@@ -83,14 +88,14 @@ def kernel_direct(t: float, x, N: int, geometry: TorusGeometry) -> complex:
     if x.shape != (geometry.d,):
         raise ValueError(f"point must have {geometry.d} coordinates")
     _check_finite("x", x)
-    k = np.arange(-2 * N, 2 * N + 1, dtype=float)
-    w = bump(k / N)
+    k, w = _kernel_axis_symbol(N)
     weights = reduce(np.multiply.outer, [w] * geometry.d)
     phase = np.zeros((k.size,) * geometry.d)
     for j in range(geometry.d):
         shape = [1] * geometry.d
         shape[j] = k.size
-        phase = phase + (x[j] * k - t * geometry.theta[j] * k * k).reshape(shape)
+        # t theta_j reduced mod 1 (exactly), as in _flow
+        phase = phase + (x[j] * k - math.fmod(t * geometry.theta[j], 1.0) * k * k).reshape(shape)
     terms = weights * np.exp(2j * np.pi * phase)
     return complex(
         math.fsum(terms.real.ravel(order="C").tolist()),

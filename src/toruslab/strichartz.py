@@ -237,6 +237,12 @@ class ScalingFit:
 
 
 def fit_scaling(N_list, norms, p: float, theoretical: float) -> ScalingFit:
+    """Least-squares line log(norm) = slope * log(N) + intercept over the scales.
+
+    max_residual is the largest |log residual|; theoretical is the exponent
+    the fit is compared with.  ScalingFit checks the scales (dyadic, strictly
+    increasing), the norms (positive) and the slope (finite): ValueError.
+    """
     logs_n = np.log(np.asarray(N_list, dtype=float))
     logs_v = np.log(np.asarray(norms, dtype=float))
     slope, intercept = np.polyfit(logs_n, logs_v, 1)

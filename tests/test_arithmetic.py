@@ -241,6 +241,17 @@ class TestDivisorCounts:
         assert f2_hat(5, 4) == 5
         assert f2_hat(0, 4) == 4 + 5 + 6 + 7
 
+    def test_huge_windows_and_numbers_return_at_once(self):
+        # the shorter of the window scan and trial division up to isqrt(n) runs,
+        # and omega = 0 sums the window as an arithmetic series
+        Q = 2**40
+        assert f2_hat(5, Q) == 0
+        assert f2_hat(0, Q) == (Q + (2 * Q - 1)) * Q // 2
+        assert divisor_count_dyadic(10**18, 2) == 1  # 2 divides, 3 does not
+        # 2^30 and 3 * 2^29 are the divisors in [2^30, 2^31), found from their cofactors
+        assert f2_hat(3 * 2**30, 2**30) == 2**30 + 3 * 2**29
+        assert divisor_count_dyadic(3 * 2**30, 2**30) == 2
+
     def test_f2_hat_exponential_sum_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(100):

@@ -46,6 +46,20 @@ class TestKernelCommand:
         assert aborted["truncated"] is True
         assert aborted["error"].startswith("BudgetExceededError")
 
+    def test_point_budget_is_guard_abort(self, runner):
+        # the direct sum holds 65^2 = 4,225 terms, against a 100-term budget
+        result = runner.invoke(main, ["kernel", "--d", "2", "--N", "16", "--x", "0,0", "--budget", "100"])
+        assert result.exit_code == 1
+        aborted = json.loads(result.stderr)
+        assert aborted["truncated"] is True
+        assert aborted["error"].startswith("BudgetExceededError")
+
+    @pytest.mark.parametrize("point", [[], ["--x", "0"]])
+    def test_bad_cutoff_is_usage_error_under_any_budget(self, runner, point):
+        result = runner.invoke(main, ["kernel", "--N", "3", "--budget", "1"] + point)
+        assert result.exit_code == 2
+        assert "--N must be a power of two" in result.output
+
     def test_point_record_written(self, runner, tmp_path):
         result = runner.invoke(main, ["kernel", "--N", "4", "--x", "0", "--out-dir", str(tmp_path)])
         assert result.exit_code == 0

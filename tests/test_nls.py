@@ -480,6 +480,21 @@ class TestDiagnostics:
             assert traj.diagnostics["h1"][i] == sobolev_norm(state, 1)
             assert traj.diagnostics["linf"][i] == float(np.max(np.abs(vals)))
 
+    @pytest.mark.parametrize("coupling", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_energy_honours_coupling(self, coupling, sign):
+        # kinetic term plus coupling * sign * ((d-2)/(2d)) * mean |v|^6 on the full grid
+        d, M = 3, 2
+        base = random_problem(d, M, 0.5, seed=80, sign=sign)
+        prob = NlsProblem(base.geometry, sign, base.u0, coupling)
+        traj = split_step_evolve(prob, 0.003, 1e-3)
+        sym = _dispersion_symbol(prob.geometry, M)
+        for i, state in enumerate(traj.states):
+            kinetic = 0.5 * (2 * np.pi) ** 2 * np.sum(sym * np.abs(state.coeffs) ** 2)
+            potential = np.mean(np.abs(full_grid_values(state, prob.grid_size)) ** 6)
+            want = kinetic + coupling * sign * ((d - 2) / (2 * d)) * potential
+            assert traj.diagnostics["energy"][i] == pytest.approx(want, rel=1e-14)
+
 
 class TestTruncatedEnergyRecord:
     @pytest.mark.parametrize("d", [3, 4])
@@ -569,10 +584,13 @@ class TestOneRoundTrip:
         # both solvers' grid passes go through one loop
         assert _referrers("_analyze", sorted(PACKAGE.glob("*.py"))) == {"nls._round_trip"}
 
-    def test_nls_synthesizes_in_three_places(self):
-        # the round trip, and the two diagnostics that read grid values
-        want = {"nls._round_trip", "nls.energy", "nls.compute_diagnostics"}
+    def test_nls_synthesizes_in_two_places(self):
+        # the round trip, and the diagnostics pass (energy() reads its energy column)
+        want = {"nls._round_trip", "nls.compute_diagnostics"}
         assert _referrers("_synthesize", [PACKAGE / "nls.py"]) == want
+        # the pass computes every column itself, with no per-state call
+        for name in ("mass", "energy", "sobolev_norm"):
+            assert "nls.compute_diagnostics" not in _referrers(name, [PACKAGE / "nls.py"])
 
     def test_one_phase_builder(self):
         # every free-flow phase comes from propagator._flow; the other exps are the

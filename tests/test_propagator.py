@@ -89,15 +89,18 @@ def exact_flow_rows(g, M, ts):
 class TestFlow:
     @pytest.mark.parametrize("d, M", [(1, 64), (1, 7), (2, 16), (3, 6), (4, 3)])
     def test_matches_exact_phases(self, d, M):
-        # the angle 2 pi t theta_j k_j^2 takes about two relative roundings, so it is
-        # off by about 4 pi t theta_j k_j^2 epsilons, and the exp and the d - 1
-        # products add a few more: every row is within (4 pi t sum_j theta_j M^2 + 2d) epsilons
+        # t theta_j takes one relative rounding and the angle 2 pi r_j k_j^2, with
+        # r_j = fmod(t theta_j, 1) exact, about three more, and the exp and the d - 1
+        # products add a few more: every row is within
+        # (pi sum_j (|t| theta_j + 3 |r_j|) M^2 + 2d) epsilons
         rng = np.random.default_rng(d * 100 + M)
-        ts = np.concatenate(([0.0, 0.5, 1 - 2**-20, 2**-30], rng.random(6)))
+        ts = np.concatenate(([0.0, 0.5, 1 - 2**-20, 2**-30, 12.345, -100.345], rng.random(6)))
         for theta in ((1.0,) * d, (IRRATIONAL,) * d, tuple(rng.uniform(0.05, 1.0, d))):
             g = TorusGeometry(d, theta)
             err = np.max(np.abs(propagator._flow(g, M, ts) - exact_flow_rows(g, M, ts)), axis=1)
-            bound = (4 * np.pi * ts * sum(theta) * M * M + 2 * d) * np.finfo(float).eps
+            r = np.abs(np.fmod(np.multiply.outer(ts, theta), 1.0))
+            scale = np.sum(np.abs(ts)[:, None] * theta + 3 * r, axis=1)
+            bound = (np.pi * scale * M * M + 2 * d) * np.finfo(float).eps
             assert np.all(err <= bound), (theta, np.max(err / bound))
 
 
@@ -163,6 +166,18 @@ class TestKernelGrid:
                 i, j = rng.integers(0, n_x, size=2)
                 direct = kernel_direct(t, (i / n_x, j / n_x), N, g)
                 assert abs(direct - ev.values[i, j]) <= 1e-10 * sup
+
+    def test_long_times_keep_the_period(self):
+        # on the square torus theta t is exact, so t is reduced mod 1 before any rounding:
+        # the grid at t repeats that at t - 100 bit for bit, and stays on the oracle
+        g = TorusGeometry.square(2)
+        N, n_x, t = 16, 68, 100.345
+        ev = kernel_grid(t, n_x, N, g)
+        assert np.array_equal(ev.values, kernel_grid(t - 100, n_x, N, g).values)
+        sup = np.max(np.abs(ev.values))
+        rng = np.random.default_rng(8)
+        for i, j in rng.integers(0, n_x, size=(20, 2)):
+            assert abs(kernel_direct(t, (i / n_x, j / n_x), N, g) - ev.values[i, j]) <= 1e-12 * sup
 
     def test_origin_value_and_dc_mean(self):
         g = TorusGeometry.square(2)
