@@ -136,6 +136,13 @@ def _horizons(ctx, param, text: str) -> list[float]:
     return hs
 
 
+def _abort_context(config: dict, out_dir: Path | None = None, seed: int | None = None) -> dict:
+    """Hand the running command's config, seed and out dir (None: no aborted.json) to
+    the abort path of _Group.invoke, before the command's work; returns config."""
+    click.get_current_context().meta["abort"] = (out_dir, config, seed)
+    return config
+
+
 def _guard_abort(out_dir: Path | None, config: dict, seed, exc: Exception) -> NoReturn:
     payload = _meta(config, seed)
     payload["truncated"] = True
@@ -147,13 +154,18 @@ def _guard_abort(out_dir: Path | None, config: dict, seed, exc: Exception) -> No
 
 
 class _Group(click.Group):
-    """Reports a plain ValueError as a usage error (exit 2); guard errors keep exit 1."""
+    """The exit-code policy of every command, in one place.
+
+    A guard error (GUARD_ERRORS) exits 1 with the abort record (_guard_abort) of
+    the context the command handed over (_abort_context) before its work; a
+    plain ValueError is a usage error (exit 2).
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except GUARD_ERRORS:
-            raise
+        except GUARD_ERRORS as exc:
+            _guard_abort(*ctx.meta.get("abort", (None, {}, None)), exc)
         except ValueError as exc:
             raise click.UsageError(str(exc), ctx) from exc
 
@@ -177,46 +189,43 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
     """Evaluate the frequency-localized propagator kernel (point or grid dump)."""
     g = _parse_theta(dim, theta)
     require_dyadic(cutoff, "--N")  # a usage error before either budget check
-    config = {
+    config = _abort_context({
         "command": "kernel", "d": dim, "theta": list(g.theta), "N": cutoff,
         "t": time_pt, "x": point, "n_x": n_x,
-    }
-    try:
-        if point is not None:
-            x = _comma_list(float, point, "--x")
-            if len(x) != dim:
-                raise click.BadParameter(f"need one coordinate per axis ({dim}), got {len(x)}", param_hint=["--x"])
-            if (4 * cutoff + 1) ** dim > budget:
-                raise BudgetExceededError(f"{4 * cutoff + 1}^{dim} direct-sum terms exceed budget {budget}")
-            value = kernel_direct(time_pt, x, cutoff, g)
-            payload = _meta(config)
-            payload["value"] = {"re": value.real, "im": value.imag, "abs": abs(value)}
-            click.echo(json.dumps(payload, sort_keys=True))
-            if out_dir is not None:
-                _write_json(Path(out_dir) / "kernel_point.json", payload)
-            return
-        if n_x is None:
-            n_x = 4 * cutoff + 4
-        if n_x**dim > budget:
-            raise BudgetExceededError(f"{n_x}^{dim} grid cells exceed budget {budget}")
-        ev = kernel_grid(time_pt, n_x, cutoff, g)
-        # one column per coordinate, then re and im, all in np.ndindex order
-        cols = (np.indices(ev.values.shape).reshape(dim, -1) / n_x).tolist()
-        cols += [ev.values.real.ravel().tolist(), ev.values.imag.ravel().tolist()]
-        rows = zip([time_pt] * ev.values.size, *cols)
-        header = ["t"] + [f"x_{j+1}" for j in range(dim)] + ["re", "im"]
-        out_dir = Path(out_dir) if out_dir is not None else Path(".")
-        _write_csv(out_dir / "kernel_grid.csv", header, rows, meta=_meta(config))
+    }, out_dir)
+    if point is not None:
+        x = _comma_list(float, point, "--x")
+        if len(x) != dim:
+            raise click.BadParameter(f"need one coordinate per axis ({dim}), got {len(x)}", param_hint=["--x"])
+        if (4 * cutoff + 1) ** dim > budget:
+            raise BudgetExceededError(f"{4 * cutoff + 1}^{dim} direct-sum terms exceed budget {budget}")
+        value = kernel_direct(time_pt, x, cutoff, g)
         payload = _meta(config)
-        payload["summary"] = {
-            "n_x": n_x,
-            "max_abs": float(np.max(np.abs(ev.values))),
-            "mean_re": float(np.mean(ev.values.real)),
-        }
-        _write_json(out_dir / "kernel_summary.json", payload)
-        click.echo(json.dumps(payload["summary"], sort_keys=True))
-    except GUARD_ERRORS as exc:
-        _guard_abort(out_dir, config, None, exc)
+        payload["value"] = {"re": value.real, "im": value.imag, "abs": abs(value)}
+        click.echo(json.dumps(payload, sort_keys=True))
+        if out_dir is not None:
+            _write_json(Path(out_dir) / "kernel_point.json", payload)
+        return
+    if n_x is None:
+        n_x = 4 * cutoff + 4
+    if n_x**dim > budget:
+        raise BudgetExceededError(f"{n_x}^{dim} grid cells exceed budget {budget}")
+    ev = kernel_grid(time_pt, n_x, cutoff, g)
+    # one column per coordinate, then re and im, all in np.ndindex order
+    cols = (np.indices(ev.values.shape).reshape(dim, -1) / n_x).tolist()
+    cols += [ev.values.real.ravel().tolist(), ev.values.imag.ravel().tolist()]
+    rows = zip([time_pt] * ev.values.size, *cols)
+    header = ["t"] + [f"x_{j+1}" for j in range(dim)] + ["re", "im"]
+    out_dir = Path(out_dir) if out_dir is not None else Path(".")
+    _write_csv(out_dir / "kernel_grid.csv", header, rows, meta=_meta(config))
+    payload = _meta(config)
+    payload["summary"] = {
+        "n_x": n_x,
+        "max_abs": float(np.max(np.abs(ev.values))),
+        "mean_re": float(np.mean(ev.values.real)),
+    }
+    _write_json(out_dir / "kernel_summary.json", payload)
+    click.echo(json.dumps(payload["summary"], sort_keys=True))
 
 
 @main.command("dispersive-check")
@@ -232,14 +241,11 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
 def dispersive_check(dim, theta, n_list, sigma, n_t, n_x, dump_grid, out_dir):
     """Kernel-vs-bound max ratio and off-arc sup, per cutoff scale."""
     g = _parse_theta(dim, theta)
-    config = {
+    config = _abort_context({
         "command": "dispersive-check", "d": dim, "theta": list(g.theta),
         "N": n_list, "sigma": sigma, "n_t": n_t, "n_x": n_x,
-    }
-    try:
-        reports = [check_dispersive(N, g, sigma=sigma, n_t=n_t, n_x=n_x) for N in n_list]
-    except GUARD_ERRORS as exc:
-        _guard_abort(out_dir, config, None, exc)
+    }, out_dir)
+    reports = [check_dispersive(N, g, sigma=sigma, n_t=n_t, n_x=n_x) for N in n_list]
     payload = _meta(config)
     payload["reports"] = [r.to_json_dict() for r in reports]
     ratios = [r.max_ratio_kernel_vs_bound for r in reports]
@@ -272,10 +278,10 @@ def dispersive_check(dim, theta, n_list, sigma, n_t, n_x, dump_grid, out_dir):
 def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, emit_plot, out_dir):
     """Fit the growth exponent of the space-time norm against the cutoff scale."""
     g = _parse_theta(dim, theta)
-    config = {
+    config = _abort_context({
         "command": "strichartz-sweep", "d": dim, "theta": list(g.theta), "p": exponent,
         "class": data_class, "N": n_list, "n_t": n_t, "n_x": n_x,
-    }
+    }, out_dir, seed)
     fit = exponent_sweep(data_class, exponent, n_list, g, seed=seed, n_t=n_t, n_x=n_x)
     rows = [
         [data_class, dim, float(exponent), N, norm, norm / N**fit.theoretical_exponent]
@@ -318,10 +324,10 @@ def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, e
 def bilinear_check(dim, theta, n1, horizons, data_class, n_x, n_t, seed, out_dir):
     """Bilinear product ratios over dyadic scale pairs and horizons."""
     g = _parse_theta(dim, theta)
-    config = {
+    config = _abort_context({
         "command": "bilinear-check", "d": dim, "theta": list(g.theta), "N1": n1,
         "T": horizons, "class": data_class, "n_x": n_x, "n_t": n_t,
-    }
+    }, out_dir, seed)
     records = bilinear_table(n1, horizons, g, data=data_class, n_x=n_x, n_t=n_t, seed=seed)
     rows = [[r["N1"], r["N2"], r["T"], r["ratio"]] for r in records]
     _write_csv(Path(out_dir) / "bilinear_table.csv", ["N1", "N2", "T", "ratio"],
@@ -379,22 +385,19 @@ def nls_run(dim, theta, sign, data, box, horizon, dt, solver, seed, dump_fields,
     d = int(dim)
     g = _parse_theta(d, theta)
     data_spec, name, amp = data
-    config = {
+    config = _abort_context({
         "command": "nls-run", "d": d, "theta": list(g.theta), "sign": sign,
         "data": data_spec, "N": box, "T": horizon, "dt": dt, "solver": solver,
-    }
-    try:
-        cells = live_cells(d, box, horizon, dt, solver)
-        if cells > budget:
-            raise BudgetExceededError(f"{cells} live {solver} cells exceed budget {budget}")
-        u0 = _parse_data_spec(name, amp, g, box, seed)
-        problem = NlsProblem(g, +1 if sign == "defocusing" else -1, u0)
-        if solver == "picard":
-            traj = picard_solve(problem, horizon, dt)
-        else:
-            traj = split_step_evolve(problem, horizon, dt)
-    except GUARD_ERRORS as exc:
-        _guard_abort(out_dir, config, seed, exc)
+    }, out_dir, seed)
+    cells = live_cells(d, box, horizon, dt, solver)
+    if cells > budget:
+        raise BudgetExceededError(f"{cells} live {solver} cells exceed budget {budget}")
+    u0 = _parse_data_spec(name, amp, g, box, seed)
+    problem = NlsProblem(g, +1 if sign == "defocusing" else -1, u0)
+    if solver == "picard":
+        traj = picard_solve(problem, horizon, dt)
+    else:
+        traj = split_step_evolve(problem, horizon, dt)
     out_dir = Path(out_dir)
     diag = traj.diagnostics
     rows = [
@@ -438,6 +441,7 @@ def dirichlet(beta, level):
 @click.option("--Q", "window", type=int, required=True)
 def divisor(value, window):
     """Count divisors in the dyadic window [Q, 2Q)."""
+    _abort_context({"command": "arith divisor", "n": value, "Q": window})
     c = divisor_count_dyadic(value, window)
     click.echo(json.dumps({
         "input": {"n": value, "Q": window},
@@ -451,6 +455,7 @@ def divisor(value, window):
 @click.option("--Q", "window", type=int, required=True)
 def f2hat(omega, window):
     """Divisor-weighted transform of the unreduced Farey atom train."""
+    _abort_context({"command": "arith f2hat", "omega": omega, "Q": window})
     v = f2_hat(omega, window)
     click.echo(json.dumps({
         "input": {"omega": omega, "Q": window},

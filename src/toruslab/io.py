@@ -3,7 +3,11 @@
 Layout of a .fld file:
 
     {"d": ..., "theta": [...], "M": ...}\n
-    interleaved (re, im) little-endian float64, row-major k order, k = -M first
+    little-endian complex128 ("<c16": re then im, each a float64), row-major k
+    order, k = -M first
+
+The payload is numpy's "<c16" layout on both sides, so a field reads back bit
+for bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -17,14 +21,10 @@ from .core import FrequencyField, TorusGeometry
 
 def write_field(f: FrequencyField, path) -> None:
     header = {"d": f.geometry.d, "theta": list(f.geometry.theta), "M": f.box_radius}
-    flat = f.coeffs.ravel(order="C")
-    data = np.empty((flat.size, 2), dtype="<f8")
-    data[:, 0] = flat.real
-    data[:, 1] = flat.imag
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(data.tobytes())
+        fh.write(f.coeffs.astype("<c16").tobytes())
 
 
 def read_field(path) -> FrequencyField:
@@ -33,7 +33,5 @@ def read_field(path) -> FrequencyField:
         raw = fh.read()
     g = TorusGeometry(d=int(header["d"]), theta=tuple(header["theta"]))
     M = int(header["M"])
-    n = (2 * M + 1) ** g.d
-    data = np.frombuffer(raw, dtype="<f8", count=2 * n).reshape(n, 2)
-    coeffs = (data[:, 0] + 1j * data[:, 1]).reshape((2 * M + 1,) * g.d)
-    return FrequencyField(g, M, coeffs)
+    coeffs = np.frombuffer(raw, dtype="<c16", count=(2 * M + 1) ** g.d)
+    return FrequencyField(g, M, coeffs.astype(np.complex128).reshape((2 * M + 1,) * g.d))

@@ -5,11 +5,19 @@
 Two independent integrators are provided: a fixed-point iteration of the
 integral (Duhamel) map with composite-trapezoid quadrature, and a Strang
 split-step scheme.  Both are second order in dt and are cross-validated in the
-tests.  The fixed-point iteration builds each iterate's flowed-back
-nonlinearity and its trapezoid in one work matrix, and logs the sup-in-time
-H1 norm of each correction.  The nonlinearity is evaluated pseudo-spectrally
-on a grid of DEALIAS_FACTOR[d] * M points per axis for box radius M: 6M for
-d = 3, 4M for d = 4.  That grid is one point short of alias-free: quintic
+tests.  The fixed-point iteration applies the integral map
+
+    Phi(u)(t) = e^{it Delta} (u0 - i I(u)(t)),   I(u)(t) = int_0^t e^{-is Delta} F(u(s)) ds,
+
+in picard_solve's own loop: one helper (_free_flow) gives the flow, its
+conjugate and the data's free trajectory (the first iterate), which
+contraction_factor shares, and _duhamel_integral builds each iterate's
+flowed-back nonlinearity and its trapezoid I(u) in one work matrix.  The
+loop logs the sup-in-time H1 norm of each correction.
+
+The nonlinearity is evaluated pseudo-spectrally on a grid of
+DEALIAS_FACTOR[d] * M points per axis for box radius M: 6M for d = 3, 4M for
+d = 4.  That grid is one point short of alias-free: quintic
 products reach +-5M and 5M = -M (mod 6M), cubic products in d = 4 reach
 +-3M and 3M = -M (mod 4M), so products of modes near the box edge alias back
 into the box.  This is an open defect (ROADMAP.md, item 1).
@@ -225,15 +233,12 @@ def _time_nodes(problem: NlsProblem, T: float, dt: float) -> np.ndarray:
     return np.arange(n + 1) * (T / n)
 
 
-def _flow_phases(problem: NlsProblem, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^{-2 pi i t s} and e^{+2 pi i t s} per trajectory node t and box mode symbol s:
-    the free flow (propagator._flow) and its inverse, its conjugate, built once per solve."""
+def _free_flow(problem: NlsProblem, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{-2 pi i t s} and e^{+2 pi i t s} per trajectory node t and box mode symbol s
+    (the free flow, propagator._flow, and its inverse, its conjugate), built once per
+    solve, and the data's free trajectory: its coefficient row times the flow."""
     forward = _flow(problem.geometry, problem.u0.box_radius, times)
-    return forward, forward.conj()
-
-
-def _free_matrix(problem: NlsProblem, forward: np.ndarray) -> np.ndarray:
-    return problem.u0.coeffs.ravel()[None, :] * forward
+    return forward, forward.conj(), problem.u0.coeffs.ravel()[None, :] * forward
 
 
 def _duhamel_integral(
@@ -250,15 +255,6 @@ def _duhamel_integral(
     F[0] = 0
     np.cumsum(steps, axis=0, out=F[1:])
     return F, float(np.max(trunc))
-
-
-def _duhamel_matrix(
-    U: np.ndarray, problem: NlsProblem, times: np.ndarray, phases: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, float]:
-    forward, back = phases
-    I, trunc = _duhamel_integral(U, problem, times, back)
-    Phi = (problem.u0.coeffs.ravel()[None, :] - 1j * I) * forward
-    return Phi, trunc
 
 
 def _wrap_trajectory(
@@ -318,15 +314,17 @@ def picard_solve(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     times = _time_nodes(problem, T, dt)
-    phases = _flow_phases(problem, times)
-    U = _free_matrix(problem, phases[0])
+    forward, back, U = _free_flow(problem, times)
     log: list[dict] = []
     prev_diff = None
     bad_streak = 0
     for it in range(1, max_iter + 1):
         # a blow-up overflows on the way; the finiteness check reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            V, trunc = _duhamel_matrix(U, problem, times, phases)
+            # V holds the integral I(U), then Phi(U) = e^{it Delta}(u0 - i I(U)); rebinding
+            # V frees I(U) before the difference V - U is formed
+            V, trunc = _duhamel_integral(U, problem, times, back)
+            V = (problem.u0.coeffs.ravel()[None, :] - 1j * V) * forward
             d_h1 = float(np.max(_h1_rows(np.abs(V - U) ** 2, problem.d, problem.u0.box_radius)))
         if not math.isfinite(d_h1):
             raise NonContractionError(
@@ -445,8 +443,7 @@ def contraction_factor(problem: NlsProblem, T: float, dt: float) -> float:
     """
     M = problem.u0.box_radius
     times = _time_nodes(problem, T, dt)
-    forward, back = _flow_phases(problem, times)
-    U = _free_matrix(problem, forward)
+    forward, back, U = _free_flow(problem, times)
     k1 = (1,) + (0,) * (problem.d - 1)
     w0 = FrequencyField.character(problem.geometry, M, k1, amplitude=1.0)
     W = w0.coeffs.ravel()[None, :] * forward  # same geometry and box, so the same flow

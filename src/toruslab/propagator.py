@@ -80,7 +80,11 @@ def _check_finite(name: str, value) -> None:
 def kernel_direct(t: float, x, N: int, geometry: TorusGeometry) -> complex:
     """Reference kernel value by direct summation with exactly-rounded accumulation.
 
-    t and the point x must be finite (ValueError otherwise).
+    t and the point x must be finite (ValueError otherwise).  The kernel has
+    period 1 in each x_j, so x_j is reduced mod 1 as theta_j t is: an exact
+    fmod, which keeps the bits of a point in [0, 1) and the sign of x_j.  The
+    value does not drift with |x|; a shift by whole periods that keeps the
+    sign of each x_j keeps its bits.
     """
     require_dyadic(N)
     _check_finite("t", t)
@@ -88,6 +92,7 @@ def kernel_direct(t: float, x, N: int, geometry: TorusGeometry) -> complex:
     if x.shape != (geometry.d,):
         raise ValueError(f"point must have {geometry.d} coordinates")
     _check_finite("x", x)
+    x = np.fmod(x, 1.0)
     k, w = _kernel_axis_symbol(N)
     weights = reduce(np.multiply.outer, [w] * geometry.d)
     phase = np.zeros((k.size,) * geometry.d)

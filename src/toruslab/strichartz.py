@@ -398,8 +398,13 @@ def bilinear_ratio_tensor(
 
     The spatial mean of the product field factors exactly over coordinates on
     the product grid, so this path reproduces the generic grid computation at
-    a fraction of the cost.  Axis vectors must be unit L2.
+    a fraction of the cost.  Axis vectors must be unit L2: a squared norm more
+    than 1e-12 from 1 raises ValueError naming the axis.
     """
+    for side, axes in (("axes_f", axes_f), ("axes_h", axes_h)):
+        for j, v in enumerate(axes):
+            if abs(np.sum(np.abs(v) ** 2) - 1.0) > 1e-12:
+                raise ValueError(f"{side}[{j}] must be unit L2, got squared norm {np.sum(np.abs(v) ** 2)!r}")
     extents = [_axes_extent(axes_f, geometry), _axes_extent(axes_h, geometry)]
     groups = [
         tuple(FrequencyField(TorusGeometry(1, (theta,)), (v.size - 1) // 2, v) for v in pair)

@@ -1,14 +1,20 @@
 """Command-line surface: flags, outputs, exit codes, determinism."""
 
+import ast
 import json
 import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import toruslab
+from toruslab import cli
 from toruslab.cli import _parse_data_spec, _write_csv, main
 from toruslab.core import TorusGeometry
+from toruslab.errors import GridTooCoarseError
 from toruslab.io import read_field
 from toruslab.nls import NlsProblem, grid_size, picard_solve, split_step_evolve
 from toruslab.propagator import kernel_grid
@@ -171,6 +177,21 @@ class TestArithCommands:
         assert payload["output"]["inside"] is True
         assert payload["output"]["witness"][2] == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["divisor", "--n", str(10**18), "--Q", str(2**30)], "n"),
+        (["f2hat", "--omega", str(10**18 + 1), "--Q", str(2**40)], "omega"),
+    ])
+    def test_huge_window_is_guard_abort(self, runner, argv, name):
+        # 10^9 and 10^8 trial divisions without the step budget: about a minute and 6 s
+        start = time.perf_counter()
+        result = runner.invoke(main, ["arith"] + argv)
+        assert time.perf_counter() - start < 2.0
+        assert result.exit_code == 1
+        aborted = json.loads(result.stderr)
+        assert aborted["truncated"] is True
+        assert aborted["error"].startswith("BudgetExceededError")
+        assert aborted["config"] == {"command": f"arith {argv[0]}", name: int(argv[2]), "Q": int(argv[4])}
+
 
 class TestSweepCommands:
     def test_character_sweep(self, runner, tmp_path):
@@ -216,6 +237,24 @@ class TestSweepCommands:
         assert aborted["config"]["n_x"] == 16
         assert "need n_x >= 33" in aborted["error"]
         assert not (tmp_path / "dispersive_report.json").exists()
+
+    @pytest.mark.parametrize("argv, target", [
+        (["strichartz-sweep", "--d", "1", "--p", "8", "--N", "8,16,32,64"], "exponent_sweep"),
+        (["bilinear-check", "--d", "3", "--N1", "2,4"], "bilinear_table"),
+    ])
+    def test_guard_error_is_guard_abort(self, runner, tmp_path, monkeypatch, argv, target):
+        def coarse(*args, **kwargs):
+            raise GridTooCoarseError("need n_x >= 33 to hold the symbol, got 16")
+
+        monkeypatch.setattr(cli, target, coarse)
+        result = runner.invoke(main, argv + ["--seed", "7", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        aborted = json.loads((tmp_path / "aborted.json").read_text())
+        assert aborted == json.loads(result.stderr)
+        assert aborted["truncated"] is True
+        assert aborted["error"] == "GridTooCoarseError: need n_x >= 33 to hold the symbol, got 16"
+        assert aborted["config"]["command"] == argv[0] and aborted["seed"] == 7
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aborted.json"]
 
     def test_plot_emission(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -457,3 +496,31 @@ class TestDeterminism:
                 + (out / "strichartz_fit.json").read_bytes()
             )
         assert outs[0] == outs[1]
+
+
+def _cli_places(pred) -> list[str]:
+    """[Class.]function of cli.py for each AST node that pred holds for."""
+    places = []
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        units = [m for m in top.body if isinstance(m, ast.FunctionDef)] if isinstance(top, ast.ClassDef) else [top]
+        prefix = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+        places += [prefix + getattr(unit, "name", "<module>") for unit in units for n in ast.walk(unit) if pred(n)]
+    return places
+
+
+class TestExitCodePolicy:
+    def test_one_guard_abort_path(self):
+        # guard errors are answered in _Group.invoke only, so no command can forget them
+        def names(node, name):
+            return node is not None and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+
+        handlers = _cli_places(lambda n: isinstance(n, ast.ExceptHandler) and names(n.type, "GUARD_ERRORS"))
+        callers = _cli_places(lambda n: isinstance(n, ast.Call) and names(n.func, "_guard_abort"))
+        assert handlers == ["_Group.invoke"]
+        assert callers == ["_Group.invoke"]
+
+    def test_one_version_string(self):
+        # every output embeds toruslab.__version__; the package metadata must agree
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == toruslab.__version__

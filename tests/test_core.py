@@ -279,6 +279,11 @@ class TestFieldIO:
         assert back.geometry == f.geometry
         assert back.box_radius == f.box_radius
         assert np.array_equal(back.coeffs, f.coeffs)
+        # signed zeros in either part come back bit for bit
+        coeffs = f.coeffs.copy()
+        coeffs.flat[:4] = [complex(-0.0, 2.0), complex(0.0, -0.0), complex(-0.0, -0.0), -1.5 - 0.0j]
+        write_field(FrequencyField(g, 4, coeffs), path)
+        assert np.array_equal(read_field(path).coeffs.view(np.uint64), coeffs.view(np.uint64))
 
     def test_layout_is_header_plus_little_endian(self, tmp_path):
         g = TorusGeometry.square(1)

@@ -12,9 +12,8 @@ from toruslab.core import FrequencyField, TorusGeometry, _dispersion_symbol, sob
 from toruslab.errors import GridTooCoarseError, NonContractionError
 from toruslab.nls import (
     NlsProblem,
-    _duhamel_matrix,
-    _flow_phases,
-    _free_matrix,
+    _duhamel_integral,
+    _free_flow,
     _nonlinearity_rows,
     Trajectory,
     compute_diagnostics,
@@ -78,12 +77,14 @@ def truncated_energy(u):
 
 def free_rows(prob, times):
     """Coefficient rows of the free flow of the data at each time."""
-    return _free_matrix(prob, _flow_phases(prob, times)[0])
+    return _free_flow(prob, times)[2]
 
 
 def duhamel_rows(prob, times, U):
     """One application of the integral map to the trajectory rows U."""
-    return _duhamel_matrix(U, prob, times, _flow_phases(prob, times))[0]
+    forward, back, _ = _free_flow(prob, times)
+    I, _ = _duhamel_integral(U, prob, times, back)
+    return (prob.u0.coeffs.ravel()[None, :] - 1j * I) * forward
 
 
 def discarded_energy(w, M):
@@ -602,6 +603,6 @@ class TestOneRoundTrip:
         }
         assert _referrers("_flow", modules) == {
             "propagator.free_evolve", "propagator.kernel_grid", "propagator.iter_evolved_grids",
-            "nls._flow_phases", "nls.split_step_evolve",
+            "nls._free_flow", "nls.split_step_evolve",
         }
         assert _referrers("_dispersion_symbol", [PACKAGE / "propagator.py"]) == set()

@@ -138,6 +138,14 @@ class TestKernelDirect:
         v2 = kernel_direct(0.3, (-0.2, -0.7), 4, g)
         assert v1 == pytest.approx(v2, abs=1e-12)
 
+    def test_whole_periods_in_x_keep_the_value(self):
+        # x_j is reduced mod 1 as theta_j t is, so the value does not drift with |x|:
+        # unreduced, the shift 2^20 moved it by 1.4e-9 of the grid sup, 2^30 by 7.8e-7
+        g = TorusGeometry(2, (1.0, 1.0 / np.sqrt(2.0)))
+        base = kernel_direct(0.3, (0.25, 0.5), 8, g)
+        for shift in (2.0**20, 2.0**30):
+            assert kernel_direct(0.3, (0.25 + shift, 0.5 - shift), 8, g) == base
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, bad):
         g = TorusGeometry.square(2)

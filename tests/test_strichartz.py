@@ -452,6 +452,16 @@ class TestBilinearRatio:
         ratio = bilinear_ratio(f, 4, h, 2, g, n_t=n_t, n_x=n_x)
         assert ratio == pytest.approx(expected, rel=1e-12)
 
+    def test_axes_must_be_unit(self):
+        # three d=3 axes scaled by 3 gave 27 times the ratio, with no error
+        g = self.geometry()
+        axes_f = [band_axis_coeffs("flat", 4) for _ in range(3)]
+        axes_h = [band_axis_coeffs("flat", 2) for _ in range(3)]
+        with pytest.raises(ValueError, match=r"^axes_f\[0\] must be unit L2"):
+            bilinear_ratio_tensor([3.0 * v for v in axes_f], 4, axes_h, 2, g)
+        with pytest.raises(ValueError, match=r"^axes_h\[2\] must be unit L2"):
+            bilinear_ratio_tensor(axes_f, 4, axes_h[:2] + [axes_h[2] * (1.0 + 1e-11)], 2, g)
+
     @pytest.mark.parametrize("horizon", [0.0, -0.5, math.nan, math.inf])
     def test_bad_horizon_rejected(self, horizon):
         # each library path names the argument; a zero horizon used to give ratio 0
