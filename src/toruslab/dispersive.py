@@ -39,7 +39,7 @@ from .arithmetic import (
 )
 from .core import TorusGeometry, annular_bump, bump, require_dyadic
 from .errors import GridTooCoarseError
-from .propagator import kernel_axis_max_abs, kernel_direct, time_sample_count
+from .propagator import _check_grid, kernel_axis_max_abs, kernel_direct, time_sample_count
 
 #: Cap on the uniform time-grid size used by the sweep drivers.
 SWEEP_TIME_CAP = 1 << 17
@@ -124,8 +124,11 @@ def sweep_time_grid(N: int, geometry: TorusGeometry, n_t: int | None = None) -> 
     By default n_t = time_sample_count(N, geometry), 16 samples per period of
     the fastest phase e(-theta_max (2N)^2 t), but capped at SWEEP_TIME_CAP =
     2^17: with theta_max = 1 the cap leaves 8 samples per period at N = 64, 2
-    at N = 128 and 0.5 at N = 256.
+    at N = 128 and 0.5 at N = 256.  An explicit n_t must be a whole number
+    >= 1 (propagator._check_grid, the size rule of the space-time norms too),
+    so the grid always spans [0, 1].
     """
+    _check_grid(n_t=n_t)
     if n_t is None:
         n_t = min(time_sample_count(N, geometry), SWEEP_TIME_CAP)
     base = np.arange(n_t + 1) / n_t
@@ -196,8 +199,10 @@ def check_diff_bound(
     """sup over off-arc grid times of max_x |K(t, x)| / N^(d(1-sigma)).
 
     One sweep covers the base grid and the Farey midpoints, on and off the arcs.
+    n_t and n_x are checked by propagator._check_grid before any sweep.
     """
     require_dyadic(N)
+    _check_grid(n_t=n_t, n_x=n_x)
     if n_x is None:
         n_x = 8 * N
     params = MajorArcParams(sigma=sigma, N=N)
@@ -236,8 +241,10 @@ def check_dispersive(
     max is always >= 3^d.  sup_offarc_kernel and the fitted constants
     offarc_fraction, offarc_degenerate and t_at_offarc_sup are check_diff_bound's
     result, and the ratio reads the base-grid rows of its sweep.
+    n_t and n_x are checked by propagator._check_grid before any sweep.
     """
     require_dyadic(N)
+    _check_grid(n_t=n_t, n_x=n_x)
     if n_x is None:
         n_x = 8 * N
     diff = check_diff_bound(N, sigma, geometry, n_t=n_t, n_x=n_x)

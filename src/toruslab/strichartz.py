@@ -7,7 +7,10 @@ polynomial whose spatial band is at most 2mB per axis, B the largest |k_j| in
 the support; when every theta_j is an integer u is 1-periodic in t and the
 temporal band is at most mS, S the spread of sum_j theta_j k_j^2 over the
 support.  So n_x = next_fast_len(2mB+1) and n_t = mS+1 give the norm exactly
-on [0, 1) (a bilinear product adds the factors' bands and spreads).  When
+on [0, 1).  The rule reads the integrand from the same groups of fields that
+_stream multiplies, so each integrand is described once: a bilinear product
+adds its factors' bands and spreads, and a factor given as one 1-d field per
+coordinate has the largest of their bands and the sum of their spreads.  When
 S = 0 every mode has one symbol, so |u| does not depend on t and n_t = 1 is
 exact on any torus and horizon.  The spatial band does not depend on theta or
 the horizon, so for even p with S > 0 and a non-integer weight or a horizon
@@ -17,7 +20,9 @@ than the resolution rule) the sizes resolve the fastest quadratic phase with
 16 time samples per period, with n_x = 8N in d = 1 and 4N otherwise
 (max(64, 2N1) for bilinear products).  Only an even p on integer weights
 over [0, 1), or with S = 0, is exact; the other values are approximations,
-and each choice reports whether it is exact.
+and each choice reports whether it is exact.  Explicit sizes win; they must
+be whole numbers >= 1, by the size rule the kernel sweeps share
+(propagator._check_grid).
 Every space-time integral streams through one reducer (_stream), which
 never materializes the space-time array: it fills one vector of per-time
 values chunk by chunk, and each norm reduces that vector once, so a norm does
@@ -42,22 +47,13 @@ from .core import (
     require_dyadic,
     sobolev_norm,
 )
-from .propagator import _time_chunk, iter_evolved_grids, time_sample_count
+from .propagator import _check_grid, _time_chunk, iter_evolved_grids, time_sample_count
 
 
 def _check_exponent(p) -> None:
     """The exponent rule of every space-time norm: p >= 1 or infinity (NaN fails)."""
     if not p >= 1:
         raise ValueError(f"exponent must be >= 1 or infinity, got {p}")
-
-
-def _check_grid(horizon: float = 1.0, n_t: int | None = None, n_x: int | None = None) -> None:
-    """The size rule of every space-time quadrature: a finite horizon > 0, sizes >= 1."""
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-    for name, size in (("n_t", n_t), ("n_x", n_x)):
-        if size is not None and not size >= 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
 
 
 def spacetime_lp_norm(samples: np.ndarray, p) -> float:
@@ -130,18 +126,8 @@ def _field_extent(f: FrequencyField) -> tuple[int, float]:
     return int(np.max(np.abs(nz))), float(sym.max() - sym.min())
 
 
-def _axes_extent(axes: list[np.ndarray], geometry: TorusGeometry) -> tuple[int, float]:
-    """_field_extent of the tensor product of per-axis coefficient vectors."""
-    band, spread = 0, 0.0
-    for vec, theta in zip(axes, geometry.theta):
-        k = np.flatnonzero(vec) - (vec.size - 1) // 2
-        band = max(band, int(np.max(np.abs(k))))
-        spread += theta * float(np.max(k * k) - np.min(k * k))
-    return band, spread
-
-
 def _quadrature_sizes(
-    extents: list[tuple[int, float]],
+    groups,
     p: float,
     N: int,
     geometry: TorusGeometry,
@@ -149,27 +135,34 @@ def _quadrature_sizes(
     n_t: int | None = None,
     n_x: int | None = None,
 ) -> tuple[int, int, bool]:
-    """(n_t, n_x, exact) for the L^p_{t,x} norm of a product of free evolutions.
+    """(n_t, n_x, exact) for the L^p_{t,x} norm of the integrand _stream makes of groups.
 
-    extents holds each factor's (band, spread): one factor for a norm, two for
-    a bilinear product (p = 2).  For even p the band-exact n_x is used, with
-    the band-exact n_t when every theta_j is an integer and the horizon is 1
-    or when the spread is 0 (n_t = 1), and with the resolution rule's n_t
-    otherwise, whenever that needs no more cells than the resolution rule at
-    scale N (see the module docstring), which is used otherwise.  Explicit sizes win and must be >= 1, as the
-    horizon must be finite and > 0; exact says whether the sizes used
-    integrate the trigonometric polynomial |u|^p exactly.
+    groups is what _stream takes: [(f,)] for a norm, [(f, h)] for a bilinear
+    product (p = 2), and one (f_j, h_j) pair of 1-d fields per coordinate for
+    tensor-product data.  Factor i has the largest band and the summed spread
+    (_field_extent) of the i-th fields of the groups, as the tensor product of
+    those fields has; the product's band and spread add over the factors.
+    For even p the band-exact n_x is used, with the band-exact n_t when every
+    theta_j is an integer and the horizon is 1 or when the spread is 0
+    (n_t = 1), and with the resolution rule's n_t otherwise, whenever that
+    needs no more cells than the resolution rule at scale N (see the module
+    docstring), which is used otherwise.  Explicit sizes win and are checked
+    by propagator._check_grid, as the horizon is; exact says whether the
+    sizes used integrate the trigonometric polynomial |u|^p exactly.
     """
     _check_grid(horizon, n_t, n_x)
     d = geometry.d
-    band = sum(b for b, _ in extents)
-    spread = sum(s for _, s in extents)
+    # on non-integer weights a summed spread may differ from the product
+    # box's in its last bits; there it is only compared with 0, which is exact
+    factors = [[_field_extent(f) for f in fields] for fields in zip(*groups)]
+    band = sum(max(b for b, _ in extents) for extents in factors)
+    spread = sum(sum(s for _, s in extents) for extents in factors)
     even = float(p).is_integer() and int(p) % 2 == 0
     # with spread 0 every mode has one symbol, so |u| does not depend on t
     periodic = spread == 0 or (all(float(th).is_integer() for th in geometry.theta) and horizon == 1.0)
     m = int(p) // 2 if even else 0
     need_t, need_x = m * int(round(spread)) + 1, 2 * m * band + 1
-    if len(extents) == 1:
+    if len(factors) == 1:
         loose_t, loose_x = time_sample_count(N, geometry), 8 * N if d == 1 else 4 * N
     else:
         loose_t = max(int(math.ceil(time_sample_count(N, geometry) * horizon)), 64)
@@ -286,7 +279,7 @@ def exponent_sweep(
     norms, quadrature = [], []
     for N in N_list:
         f = sweep_data(data_class, N, geometry, seed=seed)
-        nt, nx, exact = _quadrature_sizes([_field_extent(f)], p, N, geometry, n_t=n_t, n_x=n_x)
+        nt, nx, exact = _quadrature_sizes([(f,)], p, N, geometry, n_t=n_t, n_x=n_x)
         norms.append(evolved_lp_norm(f, p, n_t=nt, n_x=nx))
         quadrature.append({"N": N, "n_t": nt, "n_x": nx, "exact": exact})
     d = geometry.d
@@ -310,11 +303,11 @@ def _band_support_ok(f: FrequencyField, N: int) -> bool:
     return bool(np.all((ks > N // 2) & (ks < 2 * N)))
 
 
-def _bilinear_norm(groups, extents, N1: int, geometry: TorusGeometry, horizon, n_t, n_x) -> float:
+def _bilinear_norm(groups, N1: int, geometry: TorusGeometry, horizon, n_t, n_x) -> float:
     """L^2_{t,x}([0, horizon) x torus) norm of the product, over groups, of each group's evolutions."""
     if geometry.d < 3:
         raise ValueError("bilinear check requires d >= 3")
-    n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
+    n_t, n_x, _ = _quadrature_sizes(groups, 2, N1, geometry, horizon, n_t, n_x)
     ts = np.arange(n_t) * (horizon / n_t)
     return math.sqrt(horizon * float(np.sum(_stream(groups, ts, n_x, lambda u: np.abs(u) ** 2))) / n_t)
 
@@ -343,8 +336,7 @@ def bilinear_ratio(
         raise ValueError("geometry mismatch")
     if not _band_support_ok(f, N1) or not _band_support_ok(h, N2):
         raise ValueError("band-projection mismatch: data must live on its dyadic band")
-    extents = [_field_extent(f), _field_extent(h)]
-    norm = _bilinear_norm([(f, h)], extents, N1, geometry, horizon, n_t, n_x)
+    norm = _bilinear_norm([(f, h)], N1, geometry, horizon, n_t, n_x)
     return norm / (float(N2) ** ((geometry.d - 2) / 2.0) * sobolev_norm(f, 0) * sobolev_norm(h, 0))
 
 
@@ -384,6 +376,14 @@ def tensor_field(axes: list[np.ndarray], geometry: TorusGeometry) -> FrequencyFi
     return FrequencyField(geometry, M, np.asarray(coeffs, dtype=np.complex128))
 
 
+def _axis_groups(axes_f: list[np.ndarray], axes_h: list[np.ndarray], geometry: TorusGeometry) -> list[tuple]:
+    """The groups of tensor-product data: one (f_j, h_j) pair of 1-d fields per coordinate."""
+    return [
+        tuple(FrequencyField(TorusGeometry(1, (theta,)), (v.size - 1) // 2, v) for v in pair)
+        for theta, pair in zip(geometry.theta, zip(axes_f, axes_h))
+    ]
+
+
 def bilinear_ratio_tensor(
     axes_f: list[np.ndarray],
     N1: int,
@@ -405,12 +405,7 @@ def bilinear_ratio_tensor(
         for j, v in enumerate(axes):
             if abs(np.sum(np.abs(v) ** 2) - 1.0) > 1e-12:
                 raise ValueError(f"{side}[{j}] must be unit L2, got squared norm {np.sum(np.abs(v) ** 2)!r}")
-    extents = [_axes_extent(axes_f, geometry), _axes_extent(axes_h, geometry)]
-    groups = [
-        tuple(FrequencyField(TorusGeometry(1, (theta,)), (v.size - 1) // 2, v) for v in pair)
-        for theta, pair in zip(geometry.theta, zip(axes_f, axes_h))
-    ]
-    norm = _bilinear_norm(groups, extents, N1, geometry, horizon, n_t, n_x)
+    norm = _bilinear_norm(_axis_groups(axes_f, axes_h, geometry), N1, geometry, horizon, n_t, n_x)
     return norm / float(N2) ** ((geometry.d - 2) / 2.0)
 
 
@@ -437,9 +432,9 @@ def bilinear_table(
         for N2 in n2_values:
             axes_f = [band_axis_coeffs(data, N1, rng) for _ in range(geometry.d)]
             axes_h = [band_axis_coeffs(data, N2, rng) for _ in range(geometry.d)]
-            extents = [_axes_extent(axes_f, geometry), _axes_extent(axes_h, geometry)]
+            groups = _axis_groups(axes_f, axes_h, geometry)
             for horizon in horizons:
-                nt, nx, exact = _quadrature_sizes(extents, 2, N1, geometry, horizon, n_t, n_x)
+                nt, nx, exact = _quadrature_sizes(groups, 2, N1, geometry, horizon, n_t, n_x)
                 ratio = bilinear_ratio_tensor(
                     axes_f, N1, axes_h, N2, geometry, horizon=horizon, n_t=nt, n_x=nx
                 )

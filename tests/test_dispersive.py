@@ -90,6 +90,25 @@ class TestCheckDispersive:
         r16 = check_dispersive(16, g).max_ratio_kernel_vs_bound
         assert max(r8, r16) / min(r8, r16) < 2.0
 
+    @pytest.mark.parametrize("name, size", [("n_t", 0), ("n_t", -3), ("n_t", 2.5), ("n_x", 32.5)])
+    def test_bad_size_rejected(self, name, size):
+        # n_t = 0 divided by zero, -3 swept only the refocusing times and 2.5
+        # swept t up to 1.2; every sweep checks its sizes by the norms' rule
+        g = TorusGeometry.square(1)
+        calls = [
+            lambda: check_dispersive(4, g, sigma=0.2, **{name: size}),
+            lambda: check_diff_bound(4, 0.2, g, **{name: size}),
+        ]
+        if name == "n_t":
+            calls.append(lambda: sweep_time_grid(4, g, n_t=size))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                call()
+
+    def test_coarse_space_grid_stays_a_grid_error(self):
+        with pytest.raises(GridTooCoarseError):
+            check_dispersive(4, TorusGeometry.square(1), n_x=16)
+
 
 def gauss_sum(a: int, l: int, q: int) -> complex:
     """G(a, l; q) = sum_b e((-a b^2 + l b)/q), each phase reduced exactly mod q."""

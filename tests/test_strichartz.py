@@ -1,8 +1,10 @@
 """Space-time L^p norms, scaling sweeps and bilinear ratios, all through one streaming reducer."""
 
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,7 @@ from toruslab import strichartz
 from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
 from toruslab.propagator import _auto_chunk, time_sample_count
 from toruslab.strichartz import (
-    _axes_extent,
-    _field_extent,
+    _axis_groups,
     _quadrature_sizes,
     band_axis_coeffs,
     bilinear_ratio,
@@ -79,7 +80,7 @@ class TestSpacetimeLpNorm:
         # times a chunk sized by the grid held all 4096 phased rows (36 MiB)
         g = TorusGeometry(2, (1.0, IRRATIONAL))
         f = sweep_data("character", 8, g)
-        n_t, n_x, _ = _quadrature_sizes([_field_extent(f)], 4, 8, g, n_t=4096)
+        n_t, n_x, _ = _quadrature_sizes([(f,)], 4, 8, g, n_t=4096)
         assert (n_t, n_x) == (4096, 1)
         tracemalloc.start()
         try:
@@ -215,7 +216,7 @@ class TestQuadratureSizes:
         g = TorusGeometry.square(1)
         for N in (1, 2, 4):
             f = sweep_data("random_gaussian", N, g, seed=3)
-            n_t, n_x, exact = _quadrature_sizes([_field_extent(f)], 6, N, g)
+            n_t, n_x, exact = _quadrature_sizes([(f,)], 6, N, g)
             assert exact and n_t == 3 * N * N + 1 and n_x >= 6 * N + 1
             value = evolved_lp_norm(f, 6, n_t=n_t, n_x=n_x) ** 6
             assert value == pytest.approx(_resonant_l6(f.coeffs), rel=1e-13)
@@ -236,8 +237,7 @@ class TestQuadratureSizes:
         rng = np.random.default_rng(4)
         axes_f = [band_axis_coeffs("random", 8, rng) for _ in range(3)]
         axes_h = [band_axis_coeffs("random", 4, rng) for _ in range(3)]
-        extents = [_axes_extent(axes_f, g), _axes_extent(axes_h, g)]
-        n_t, n_x, exact = _quadrature_sizes(extents, 2, 8, g)
+        n_t, n_x, exact = _quadrature_sizes(_axis_groups(axes_f, axes_h, g), 2, 8, g)
         assert exact and n_x >= 2 * (8 + 4) + 1
         ratio = bilinear_ratio_tensor(axes_f, 8, axes_h, 4, g)
         fine = bilinear_ratio_tensor(axes_f, 8, axes_h, 4, g, n_t=4 * n_t, n_x=4 * n_x)
@@ -247,21 +247,21 @@ class TestQuadratureSizes:
         f1 = sweep_data("flat", 8, TorusGeometry.square(1))
         irrational = TorusGeometry(1, (IRRATIONAL,))
         f_irr = sweep_data("flat", 8, irrational)
-        assert _quadrature_sizes([_field_extent(f1)], 8, 8, TorusGeometry.square(1))[2]
-        assert not _quadrature_sizes([_field_extent(f_irr)], 8, 8, irrational)[2]
+        assert _quadrature_sizes([(f1,)], 8, 8, TorusGeometry.square(1))[2]
+        assert not _quadrature_sizes([(f_irr,)], 8, 8, irrational)[2]
         for p in (5.0, 7.0, 6.5, np.inf, 64.0):
-            assert not _quadrature_sizes([_field_extent(f1)], p, 8, TorusGeometry.square(1))[2]
+            assert not _quadrature_sizes([(f1,)], p, 8, TorusGeometry.square(1))[2]
         g3 = TorusGeometry.square(3)
         axes = [band_axis_coeffs("flat", 4) for _ in range(3)]
-        extents = [_axes_extent(axes, g3)] * 2
-        assert _quadrature_sizes(extents, 2, 4, g3, horizon=1.0)[2]
+        groups = _axis_groups(axes, axes, g3)
+        assert _quadrature_sizes(groups, 2, 4, g3, horizon=1.0)[2]
         for T in (0.25, 0.999):
-            assert not _quadrature_sizes(extents, 2, 4, g3, horizon=T)[2]
+            assert not _quadrature_sizes(groups, 2, 4, g3, horizon=T)[2]
 
     def test_p64_keeps_resolution_rule(self):
         g = TorusGeometry.square(1)
         f = sweep_data("flat", 8, g)
-        assert _quadrature_sizes([_field_extent(f)], 64, 8, g) == (
+        assert _quadrature_sizes([(f,)], 64, 8, g) == (
             time_sample_count(8, g), 64, False
         )
 
@@ -278,18 +278,18 @@ class TestQuadratureSizes:
             return fast_len(target)
 
         monkeypatch.setattr(strichartz, "_next_fast_len", bounded)
-        assert _quadrature_sizes([_field_extent(f)], 1e20, 8, g) == (
+        assert _quadrature_sizes([(f,)], 1e20, 8, g) == (
             time_sample_count(8, g), 64, False
         )
 
     def test_explicit_sizes_win_and_are_judged(self):
         g = TorusGeometry.square(1)
         f = sweep_data("flat", 8, g)  # p = 8: band 8N = 64 per axis, spread 4N^2 = 256 in t
-        ext = [_field_extent(f)]
-        assert _quadrature_sizes(ext, 8, 8, g, n_t=257, n_x=65) == (257, 65, True)
-        assert _quadrature_sizes(ext, 8, 8, g, n_t=256, n_x=65) == (256, 65, False)
-        assert _quadrature_sizes(ext, 8, 8, g, n_t=257, n_x=64) == (257, 64, False)
-        assert _quadrature_sizes(ext, 8, 8, g, n_x=64)[1:] == (64, False)
+        groups = [(f,)]
+        assert _quadrature_sizes(groups, 8, 8, g, n_t=257, n_x=65) == (257, 65, True)
+        assert _quadrature_sizes(groups, 8, 8, g, n_t=256, n_x=65) == (256, 65, False)
+        assert _quadrature_sizes(groups, 8, 8, g, n_t=257, n_x=64) == (257, 64, False)
+        assert _quadrature_sizes(groups, 8, 8, g, n_x=64)[1:] == (64, False)
 
     def test_never_more_cells_than_resolution_rule(self):
         for d in (1, 2, 3):
@@ -297,19 +297,17 @@ class TestQuadratureSizes:
                 g = TorusGeometry(d, theta)
                 for N in (1, 2, 4, 8, 16):
                     for cls in ("character", "flat", "random_gaussian"):
-                        ext = [_field_extent(sweep_data(cls, N, g, seed=1))]
+                        groups = [(sweep_data(cls, N, g, seed=1),)]
                         for p in (4.0, 6.0, 8.0, 10.0, 64.0, 5.0, 6.5):
-                            n_t, n_x, _ = _quadrature_sizes(ext, p, N, g)
+                            n_t, n_x, _ = _quadrature_sizes(groups, p, N, g)
                             assert n_t * n_x**d <= _resolution_rule_cells(N, g), (d, N, cls, p)
         g3 = TorusGeometry.square(3)
         for N1 in (1, 2, 4, 8, 16, 32):
             for N2 in (n for n in (1, 2, 4, 8, 16, 32) if n <= N1):
-                extents = [
-                    _axes_extent([band_axis_coeffs("flat", N1)] * 3, g3),
-                    _axes_extent([band_axis_coeffs("flat", N2)] * 3, g3),
-                ]
+                axes_f, axes_h = [band_axis_coeffs("flat", N1)] * 3, [band_axis_coeffs("flat", N2)] * 3
+                groups = _axis_groups(axes_f, axes_h, g3)
                 for T in (1.0, 0.25):
-                    n_t, n_x, _ = _quadrature_sizes(extents, 2, N1, g3, horizon=T)
+                    n_t, n_x, _ = _quadrature_sizes(groups, 2, N1, g3, horizon=T)
                     loose_t = max(math.ceil(time_sample_count(N1, g3) * T), 64)
                     assert n_t * n_x**3 <= loose_t * max(64, 2 * N1) ** 3
 
@@ -319,26 +317,61 @@ class TestQuadratureSizes:
         g = TorusGeometry(1, (IRRATIONAL,))
         for N in (4, 8):
             f = sweep_data("flat", N, g)
-            n_t, n_x, exact = _quadrature_sizes([_field_extent(f)], 6, N, g)
+            n_t, n_x, exact = _quadrature_sizes([(f,)], 6, N, g)
             assert (n_t, n_x, exact) == (time_sample_count(N, g), next_fast_len(6 * N + 1), False)
             assert n_x < 8 * N
             fine = evolved_lp_norm(f, 6, n_t=n_t, n_x=4 * n_x)
             assert evolved_lp_norm(f, 6, n_t=n_t, n_x=n_x) == pytest.approx(fine, rel=1e-13)
             # character data have spread 0: |u| is constant in t, so one time is exact
             char = sweep_data("character", N, g)
-            assert _quadrature_sizes([_field_extent(char)], 6, N, g) == (1, 1, True)
+            assert _quadrature_sizes([(char,)], 6, N, g) == (1, 1, True)
 
     def test_short_horizon_takes_band_exact_space_grid(self):
         g = TorusGeometry.square(3)
         axes_f = [band_axis_coeffs("flat", 16)] * 3
         axes_h = [band_axis_coeffs("flat", 8)] * 3
-        extents = [_axes_extent(axes_f, g), _axes_extent(axes_h, g)]
-        n_t, n_x, exact = _quadrature_sizes(extents, 2, 16, g, horizon=0.25)
+        n_t, n_x, exact = _quadrature_sizes(_axis_groups(axes_f, axes_h, g), 2, 16, g, horizon=0.25)
         assert n_t == max(math.ceil(time_sample_count(16, g) * 0.25), 64)
         assert n_x == next_fast_len(2 * (16 + 8) + 1) < 64 and not exact
         ratio = bilinear_ratio_tensor(axes_f, 16, axes_h, 8, g, horizon=0.25)
         fine = bilinear_ratio_tensor(axes_f, 16, axes_h, 8, g, horizon=0.25, n_t=n_t, n_x=4 * n_x)
         assert ratio == pytest.approx(fine, rel=1e-13)
+
+    def test_integral_float_sizes_pass(self):
+        g = TorusGeometry.square(1)
+        f = sweep_data("flat", 4, g)
+        assert _quadrature_sizes([(f,)], 4, 4, g, n_t=64.0, n_x=32.0) == (64, 32, True)
+        fit = exponent_sweep("flat", 4.0, [1, 2, 4, 8], g, n_t=64.0)
+        assert fit.norms == exponent_sweep("flat", 4.0, [1, 2, 4, 8], g, n_t=64).norms
+
+    @pytest.mark.parametrize("theta", [(1.0, 1.0, 1.0), (1.0, IRRATIONAL, 0.3)])
+    @pytest.mark.parametrize("kind", ["flat", "character", "random"])
+    def test_axis_groups_size_as_the_full_box(self, kind, theta):
+        # the tensor product of the per-coordinate fields has the largest of
+        # their bands and the sum of their spreads, so the sizes are the box's
+        g = TorusGeometry(3, theta)
+        rng = np.random.default_rng(7)
+        for N1 in (2, 8, 32):
+            for N2 in (n for n in (1, 2, 4, 8, 16, 32) if n <= N1):
+                axes_f = [band_axis_coeffs(kind, N1, rng) for _ in range(3)]
+                axes_h = [band_axis_coeffs(kind, N2, rng) for _ in range(3)]
+                groups = _axis_groups(axes_f, axes_h, g)
+                box = [(tensor_field(axes_f, g), tensor_field(axes_h, g))]
+                for T in (1.0, 0.25):
+                    sizes = _quadrature_sizes(groups, 2, N1, g, T)
+                    assert sizes == _quadrature_sizes(box, 2, N1, g, T), (N1, N2, T)
+
+    def test_one_description_per_integrand(self):
+        # the sizes rule reads the groups _stream reads: no caller describes an integrand twice
+        tree = ast.parse(Path(strichartz.__file__).read_text())
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+
+        def calls(fn, name):
+            return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name for n in ast.walk(fn))
+
+        assert [fn.name for fn in functions if calls(fn, "_field_extent")] == ["_quadrature_sizes"]
+        params = {a.arg for fn in functions for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        assert "extents" not in params
 
     def test_bilinear_table_records_quadrature(self):
         g = TorusGeometry.square(3)
@@ -364,7 +397,7 @@ class TestChunkIndependence:
     def test_norm(self, monkeypatch, d, theta, cls, p, N):
         g = TorusGeometry(d, theta)
         f = sweep_data(cls, N, g, seed=3)
-        n_t, n_x, _ = _quadrature_sizes([_field_extent(f)], p, N, g)
+        n_t, n_x, _ = _quadrature_sizes([(f,)], p, N, g)
         assert n_t > strichartz._time_chunk([f], n_x)  # the default streams several chunks
         norm = evolved_lp_norm(f, p, n_t=n_t, n_x=n_x)
         self.one_time_per_chunk(monkeypatch)
@@ -478,15 +511,17 @@ class TestBilinearRatio:
                 call()
 
     @pytest.mark.parametrize("name", ["n_t", "n_x"])
-    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize("size", [0, -3, 2.5, 32.5])
     def test_bad_size_rejected(self, name, size):
-        # evolved_lp_norm(..., n_t=0) used to raise ZeroDivisionError
+        # evolved_lp_norm(..., n_t=0) used to raise ZeroDivisionError; n_t=2.5
+        # took three times and divided by 2.5, and the sweeps read it as 2
         g = self.geometry()
         axes = [band_axis_coeffs("flat", 2)] * 3
         f = tensor_field(axes, g)
         sizes = {"n_t": 16, "n_x": 24, name: size}
         calls = [
             lambda: evolved_lp_norm(f, 4.0, **sizes),
+            lambda: exponent_sweep("flat", 4.0, [1, 2, 4, 8], g, **sizes),
             lambda: bilinear_ratio(f, 2, f, 2, g, **sizes),
             lambda: bilinear_ratio_tensor(axes, 2, axes, 2, g, **sizes),
             lambda: bilinear_table([2], (1.0,), g, **sizes),
