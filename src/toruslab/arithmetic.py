@@ -169,11 +169,6 @@ def farey_atoms(Q: int) -> list[Fraction]:
     return sorted(atoms)
 
 
-def farey_atoms_float(Q: int) -> np.ndarray:
-    """farey_atoms(Q) as a sorted float array, each atom rounded to the nearest double."""
-    return np.array([float(x) for x in farey_atoms(Q)])
-
-
 def _window_divisors(n: int, Q: int) -> list[int]:
     """Divisors q of n >= 1 with Q <= q < 2Q.
 
@@ -209,22 +204,6 @@ def f2_hat(omega: int, Q: int) -> int:
     if w == 0:
         return Q * (3 * Q - 1) // 2
     return sum(_window_divisors(w, Q))
-
-
-def divisor_tail_count(R: int, Q: int, D: float, budget: int = 10**8) -> int:
-    """Exact count of 1 <= n <= R with more than D divisors in the dyadic window.
-
-    Enumerates by sieving multiples of each q ~ Q; guarded by a cell budget.
-    """
-    if R < 1:
-        raise ValueError(f"need R >= 1, got {R}")
-    require_dyadic(Q, "Q")
-    if R > budget:
-        raise BudgetExceededError(f"R={R} exceeds the enumeration budget {budget}")
-    counts = np.zeros(R + 1, dtype=np.int32)
-    for q in range(Q, 2 * Q):
-        counts[q::q] += 1
-    return int(np.count_nonzero(counts[1:] > D))
 
 
 @dataclass(frozen=True)

@@ -155,44 +155,13 @@ class FrequencyField:
         return FrequencyField(self.geometry, self.box_radius, coeffs)
 
 
-def with_box_radius(f: FrequencyField, box_radius: int) -> FrequencyField:
-    """Embed into a larger box, or shrink when the dropped modes vanish."""
-    M, M2 = f.box_radius, int(box_radius)
-    if M2 == M:
-        return f
-    if M2 > M:
-        out = FrequencyField.zeros(f.geometry, M2)
-        core = tuple(slice(M2 - M, M2 + M + 1) for _ in range(f.geometry.d))
-        out.coeffs[core] = f.coeffs
-        return out
-    core = tuple(slice(M - M2, M + M2 + 1) for _ in range(f.geometry.d))
-    kept = f.coeffs[core]
-    dropped = np.sum(np.abs(f.coeffs) ** 2) - np.sum(np.abs(kept) ** 2)
-    if dropped > 0.0:
-        raise BoxTooSmallError(
-            f"shrinking to box {M2} would drop modes carrying energy {dropped:.3e}"
-        )
-    return FrequencyField(f.geometry, M2, kept.copy())
-
-
 def _axis_profile(k: np.ndarray, N: int, mode: str) -> np.ndarray:
     """1-d Littlewood-Paley cutoff at the float frequencies k."""
     if mode == "leq":
         return bump(k / N)
     if mode == "band":
-        return bump(k / N) - bump(2.0 * k / N)
+        return annular_bump(k / N)
     raise ValueError(f"mode must be 'leq' or 'band', got {mode!r}")
-
-
-def lp_symbol(k, N: int, mode: str) -> float:
-    """Littlewood-Paley multiplier at lattice point k: a product of 1-d cutoffs.
-
-    mode='leq' gives prod_j bump(k_j/N); mode='band' gives
-    prod_j [bump(k_j/N) - bump(2 k_j/N)].
-    """
-    require_dyadic(N)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    return float(np.prod(_axis_profile(k, N, mode)))
 
 
 def project(f: FrequencyField, N: int, mode: str) -> FrequencyField:

@@ -1,4 +1,4 @@
-"""Numerical checks of kernel refocusing bounds and the Farey-train convolution.
+"""Numerical checks of the kernel's refocusing envelope and its off-arc decay.
 
 The checks compute empirical constants (grid maxima of |kernel| / bound).  The
 meaningful statement at desk scale is stability of those constants as the
@@ -29,17 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _fft
-from .arithmetic import (
-    MajorArcParams,
-    dirichlet_approx_batch,
-    farey_atoms_float,
-    in_major_arc,
-    major_arc_mask,
-)
-from .core import TorusGeometry, annular_bump, bump, require_dyadic
-from .errors import GridTooCoarseError
-from .propagator import _check_grid, kernel_axis_max_abs, kernel_direct, time_sample_count
+from .arithmetic import MajorArcParams, dirichlet_approx_batch, major_arc_mask
+from .core import TorusGeometry, require_dyadic
+from .propagator import _check_grid, kernel_axis_max_abs, time_sample_count
 
 #: Cap on the uniform time-grid size used by the sweep drivers.
 SWEEP_TIME_CAP = 1 << 17
@@ -128,7 +120,7 @@ def sweep_time_grid(N: int, geometry: TorusGeometry, n_t: int | None = None) -> 
     >= 1 (propagator._check_grid, the size rule of the space-time norms too),
     so the grid always spans [0, 1].
     """
-    _check_grid(n_t=n_t)
+    n_t, _ = _check_grid(n_t=n_t)
     if n_t is None:
         n_t = min(time_sample_count(N, geometry), SWEEP_TIME_CAP)
     base = np.arange(n_t + 1) / n_t
@@ -146,22 +138,6 @@ def _kernel_max_abs_product(
             cache[theta] = kernel_axis_max_abs(ts, N, theta, n_x)
         out = out * cache[theta]
     return out
-
-
-def kernel_split(
-    t: float, x, N: int, sigma: float, geometry: TorusGeometry
-) -> tuple[complex, complex]:
-    """Split the kernel value into its major-arc part and the remainder.
-
-    The major-arc part is K(t, x) when t lies in the arc set, else 0; the two
-    parts have disjoint supports in t and sum to K(t, x) exactly.
-    """
-    params = MajorArcParams(sigma=sigma, N=N)
-    value = kernel_direct(t, x, N, geometry)
-    inside, _ = in_major_arc(t, params, geometry)
-    if inside:
-        return value, 0.0 + 0.0j
-    return 0.0 + 0.0j, value
 
 
 @dataclass
@@ -202,7 +178,7 @@ def check_diff_bound(
     n_t and n_x are checked by propagator._check_grid before any sweep.
     """
     require_dyadic(N)
-    _check_grid(n_t=n_t, n_x=n_x)
+    n_t, n_x = _check_grid(n_t=n_t, n_x=n_x)
     if n_x is None:
         n_x = 8 * N
     params = MajorArcParams(sigma=sigma, N=N)
@@ -244,7 +220,7 @@ def check_dispersive(
     n_t and n_x are checked by propagator._check_grid before any sweep.
     """
     require_dyadic(N)
-    _check_grid(n_t=n_t, n_x=n_x)
+    n_t, n_x = _check_grid(n_t=n_t, n_x=n_x)
     if n_x is None:
         n_x = 8 * N
     diff = check_diff_bound(N, sigma, geometry, n_t=n_t, n_x=n_x)
@@ -273,163 +249,3 @@ def check_dispersive(
     }
     return report
 
-
-def _circle_distance(x: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """Pairwise distance on the circle, shape (len(x), len(atoms))."""
-    diff = np.abs(x[:, None] - atoms[None, :]) % 1.0
-    return np.minimum(diff, 1.0 - diff)
-
-
-def dispersive_rhs(
-    t: float, N: int, Q_max: int, geometry: TorusGeometry, r: float
-) -> float:
-    """Right-hand side of the arcwise kernel convolution estimate at one time.
-
-    Sums (Q T)^(d/r - d/2) over coordinates, dyadic window sizes Q <= Q_max and
-    dyadic widths N^-2 <= T <= Q_max N^-2 / Q, weighted by the bump train of
-    the reduced fractions with q ~ Q.  The dyadic widths telescope: with r = 2
-    the value counts the active bump windows, and on the arc set it is >= 1.
-    """
-    require_dyadic(N)
-    require_dyadic(Q_max, "Q_max")
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
-    d = geometry.d
-    base = 1.0 / N**2
-    total = 0.0
-    m_total = int(round(math.log2(Q_max)))
-    for theta in geometry.theta:
-        x = np.asarray([(theta * t) % 1.0])
-        for mq in range(m_total + 1):
-            Q = 1 << mq
-            atoms = farey_atoms_float(Q)
-            dist = _circle_distance(x, atoms)[0]
-            for mt in range(m_total - mq + 1):
-                T = base * (1 << mt)
-                u = dist / T
-                profile = bump(u) if mt == 0 else annular_bump(u)
-                weight = (Q * T) ** (d / r - d / 2.0)
-                total += weight * float(np.sum(profile))
-    return total
-
-
-@dataclass(frozen=True)
-class BilinearFormCheckParams:
-    """Exponent recipe for the restricted-weak-type form check.
-
-    alpha = (4 - r0) / (2 (r0 - 2)) and delta = 1/alpha follow from r0; r0
-    must exceed 2/(1 - sigma) when sigma is supplied.
-    """
-
-    r0: float
-    Q: int
-    T_scale: float
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if not 2.0 < self.r0 < 4.0:
-            raise ValueError(f"r0 must lie in (2, 4), got {self.r0}")
-        require_dyadic(self.Q, "Q")
-        if self.T_scale <= 0:
-            raise ValueError("T_scale must be positive")
-        if self.sigma is not None and self.r0 < 2.0 / (1.0 - self.sigma) - 1e-12:
-            raise ValueError(f"need r0 >= 2/(1-sigma) = {2.0 / (1.0 - self.sigma)}")
-
-    @property
-    def alpha(self) -> float:
-        return (4.0 - self.r0) / (2.0 * (self.r0 - 2.0))
-
-    @property
-    def delta(self) -> float:
-        return 1.0 / self.alpha
-
-
-def _indicator(arcs, n: int) -> np.ndarray:
-    """0/1 grid indicator of a union of arcs given as (start, length) pairs."""
-    xs = np.arange(n) / n
-    ind = np.zeros(n)
-    for start, length in arcs:
-        rel = (xs - start) % 1.0
-        ind[rel < length] = 1.0
-    return ind
-
-
-def atom_bump_train(Q: int, T: float, xs: np.ndarray) -> np.ndarray:
-    """sum over Farey atoms of bump((x - atom)/T), evaluated at the points xs."""
-    atoms = farey_atoms_float(Q)
-    dist = _circle_distance(np.asarray(xs, dtype=float), atoms)
-    return np.sum(bump(dist / T), axis=1)
-
-
-def bilinear_form_check(
-    E_set,
-    F_set,
-    params: BilinearFormCheckParams,
-    n_quad: int,
-) -> tuple[float, float]:
-    """Pairing <chi_E, train * bump_T * chi_F> against the restricted-type bound.
-
-    The left side places the atoms exactly and quadratures the smooth profile
-    on an n_quad grid (FFT circular convolution); the right side is
-    (|E||F|)^(1/r0') * Q^(1+delta) * T^(2/r0).  Base bump profile:
-    it dominates the annular one pointwise, so this is the conservative check.
-    """
-    T = params.T_scale
-    if T * n_quad < 32:
-        raise GridTooCoarseError(
-            f"need T * n_quad >= 32 to resolve the profile, got {T * n_quad:.3g}"
-        )
-    xs = np.arange(n_quad) / n_quad
-    train = atom_bump_train(params.Q, T, xs)
-    e_ind = _indicator(E_set, n_quad)
-    f_ind = _indicator(F_set, n_quad)
-    conv = _fft.ifft(_fft.fft(train) * _fft.fft(f_ind)).real
-    lhs = float(e_ind @ conv) / n_quad**2
-    meas_e = float(np.mean(e_ind))
-    meas_f = float(np.mean(f_ind))
-    r0 = params.r0
-    rhs = (meas_e * meas_f) ** (1.0 - 1.0 / r0) * params.Q ** (1.0 + params.delta) * T ** (2.0 / r0)
-    return lhs, rhs
-
-
-def random_arc_union(rng: np.random.Generator, n_quad: int) -> list[tuple[float, float]]:
-    """Union of up to 8 arcs with dyadic lengths >= 1/1024, grid-aligned starts."""
-    count = int(rng.integers(1, 9))
-    arcs = []
-    for _ in range(count):
-        length = 2.0 ** (-int(rng.integers(1, 11)))
-        start = int(rng.integers(0, n_quad)) / n_quad
-        arcs.append((start, length))
-    return arcs
-
-
-def run_bilinear_draws(
-    N: int,
-    sigma: float = 0.1,
-    n_draws: int = 1000,
-    seed: int = 0,
-) -> list[dict]:
-    """Random (E, F, Q, T) draws of the form check at level N; returns ratio records."""
-    require_dyadic(N)
-    rng = np.random.default_rng(seed)
-    r0 = 2.0 / (1.0 - sigma)
-    q_top = max(int(math.floor(float(N) ** (2.0 * sigma))), 1)
-    records = []
-    for _ in range(n_draws):
-        Q = 1
-        while Q * 2 <= q_top and rng.random() < 0.5:
-            Q *= 2
-        t_lo = 1.0 / N**2
-        t_hi = float(N) ** (2.0 * sigma - 2.0) / Q
-        levels = max(int(math.floor(math.log2(max(t_hi / t_lo, 1.0)))), 0)
-        T = t_lo * 2.0 ** int(rng.integers(0, levels + 1))
-        n_quad = 1 << max(int(math.ceil(math.log2(32.0 / T))), 6)
-        params = BilinearFormCheckParams(r0=r0, Q=Q, T_scale=T, sigma=sigma)
-        e_set = random_arc_union(rng, n_quad)
-        f_set = random_arc_union(rng, n_quad)
-        lhs, rhs = bilinear_form_check(e_set, f_set, params, n_quad)
-        records.append(
-            {"Q": Q, "T": T, "n_quad": n_quad, "lhs": lhs, "rhs": rhs,
-             "ratio": lhs / rhs if rhs > 0 else float("inf")}
-        )
-    return records

@@ -36,19 +36,23 @@ def time_sample_count(N: int, geometry: TorusGeometry) -> int:
     return max(n, 64)
 
 
-def _check_grid(horizon: float = 1.0, n_t: int | None = None, n_x: int | None = None) -> None:
-    """The size rule of every time sweep and space-time quadrature.
+def _check_grid(
+    horizon: float = 1.0, n_t: int | None = None, n_x: int | None = None
+) -> tuple[int | None, int | None]:
+    """The size rule of every time sweep and space-time quadrature: (n_t, n_x) as ints.
 
     The horizon must be finite and > 0, and each size given must be a whole
     number >= 1 (an integral float such as 64.0 passes); anything else raises
     ValueError naming it.  Callers turn a size into a sample count, a time
-    step and a grid shape, which disagree on a fractional size.
+    step and a grid shape, which disagree on a fractional size, so they use
+    the sizes returned here: ints, with a size not given kept as None.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     for name, size in (("n_t", n_t), ("n_x", n_x)):
         if size is not None and not (size >= 1 and size % 1 == 0):
             raise ValueError(f"{name} must be a whole number >= 1, got {size}")
+    return tuple(None if size is None else int(size) for size in (n_t, n_x))
 
 
 @dataclass

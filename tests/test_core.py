@@ -6,18 +6,30 @@ import pytest
 from toruslab.core import (
     FrequencyField,
     TorusGeometry,
+    _axis_profile,
     _modulus_power,
     annular_bump,
     bump,
     is_dyadic,
-    lp_symbol,
     project,
+    require_dyadic,
     sobolev_norm,
     synthesize,
-    with_box_radius,
 )
 from toruslab.errors import BoxTooSmallError
 from toruslab.io import read_field, write_field
+
+
+def lp_symbol(k, N: int, mode: str) -> float:
+    """Littlewood-Paley multiplier at lattice point k: a product of 1-d cutoffs.
+
+    mode='leq' gives prod_j bump(k_j/N); mode='band' gives
+    prod_j [bump(k_j/N) - bump(2 k_j/N)].  A reference, one lattice point at a
+    time: test_propagator compares the kernel's spectrum with it.
+    """
+    require_dyadic(N)
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    return float(np.prod(_axis_profile(k, N, mode)))
 
 
 def random_field(geometry, M, seed=0, scale=1.0):
@@ -249,20 +261,6 @@ class TestModulusPower:
 
 
 class TestBoxOps:
-    def test_pad_and_shrink_roundtrip(self):
-        g = TorusGeometry.square(2)
-        f = random_field(g, 3, seed=11)
-        padded = with_box_radius(f, 6)
-        assert padded.box_radius == 6
-        back = with_box_radius(padded, 3)
-        assert np.allclose(back.coeffs, f.coeffs)
-
-    def test_shrink_refuses_to_drop_energy(self):
-        g = TorusGeometry.square(1)
-        f = FrequencyField.character(g, 5, (5,))
-        with pytest.raises(BoxTooSmallError):
-            with_box_radius(f, 2)
-
     def test_field_validation(self):
         g = TorusGeometry.square(2)
         with pytest.raises(ValueError):

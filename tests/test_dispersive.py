@@ -1,4 +1,4 @@
-"""Kernel refocusing envelope, arc splitting, and the Farey-train form check."""
+"""Kernel refocusing envelope, off-arc decay and the sweeps that measure them."""
 
 import cmath
 import functools
@@ -8,25 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toruslab.arithmetic import MajorArcParams, farey_atoms_float, in_major_arc
+from toruslab.arithmetic import MajorArcParams, in_major_arc
 from toruslab import dispersive
 from toruslab.core import TorusGeometry, bump
 from toruslab.dispersive import (
-    BilinearFormCheckParams,
-    atom_bump_train,
-    bilinear_form_check,
     check_diff_bound,
     check_dispersive,
     dispersive_bound,
     dispersive_bound_batch,
-    dispersive_rhs,
     farey_midpoint_times,
-    kernel_split,
-    run_bilinear_draws,
     sweep_time_grid,
 )
 from toruslab.errors import GridTooCoarseError
-from toruslab.propagator import kernel_axis_max_abs, kernel_direct
+from toruslab.propagator import kernel_axis_max_abs
 
 from test_propagator import phase_tolerance
 
@@ -104,6 +98,18 @@ class TestCheckDispersive:
         for call in calls:
             with pytest.raises(ValueError, match=f"{name} must be a whole number"):
                 call()
+
+    def test_integral_float_sizes_come_back_as_ints(self):
+        # n_x = 32.0 passed the size check and then raised numpy's TypeError
+        # from a grid shape: the sweeps now use the ints the check returns
+        g = TorusGeometry.square(1)
+        want = check_dispersive(4, g, n_t=64, n_x=32)
+        for sizes in ({"n_x": 32.0}, {"n_t": 64.0, "n_x": 32.0}):
+            got = check_dispersive(4, g, **{"n_t": 64, **sizes})
+            assert got.grid == want.grid
+            assert got.to_json_dict() == want.to_json_dict()
+            for a, b in zip(got.sweep, want.sweep):
+                assert np.array_equal(a, b)
 
     def test_coarse_space_grid_stays_a_grid_error(self):
         with pytest.raises(GridTooCoarseError):
@@ -278,30 +284,6 @@ class TestSharedSweep:
             check_dispersive(8, TorusGeometry.square(1), sigma=sigma)
 
 
-class TestKernelSplit:
-    def test_zero_time_all_arc(self):
-        g = TorusGeometry.square(1)
-        tilde, rem = kernel_split(0.0, (0.0,), 8, 0.1, g)
-        assert rem == 0.0
-        assert tilde == pytest.approx(kernel_direct(0.0, (0.0,), 8, g))
-
-    def test_off_arc_all_remainder(self):
-        g = TorusGeometry.square(1)
-        params = MajorArcParams(sigma=0.1, N=8)
-        t = 0.238731  # generic time, far from small-denominator rationals
-        assert not in_major_arc(t, params, g)[0]
-        tilde, rem = kernel_split(t, (0.3,), 8, 0.1, g)
-        assert tilde == 0.0
-        assert rem == pytest.approx(kernel_direct(t, (0.3,), 8, g))
-
-    def test_parts_sum_exactly(self):
-        g = TorusGeometry(1, (IRRATIONAL,))
-        for t in (0.0, 0.1, 0.31, 0.5):
-            tilde, rem = kernel_split(t, (0.2,), 8, 0.1, g)
-            assert tilde + rem == kernel_direct(t, (0.2,), 8, g)
-            assert tilde * rem == 0.0
-
-
 class TestCheckDiffBound:
     def test_basic_run(self):
         g = TorusGeometry.square(1)
@@ -331,85 +313,3 @@ class TestCheckDiffBound:
         c16 = check_diff_bound(16, 0.1, g).constant
         c32 = check_diff_bound(32, 0.1, g).constant
         assert 0.25 <= c32 / c16 <= 4.0
-
-
-class TestDispersiveRhs:
-    def test_off_arc_vanishes(self):
-        # far from every atom at window <= Q_max, all scaled profiles are zero
-        g = TorusGeometry.square(1)
-        N, Q_max = 16, 2
-        t = 0.238731
-        atoms = np.concatenate([farey_atoms_float(1), farey_atoms_float(2)])
-        width = 2.0 * Q_max / N**2
-        assert np.min(np.abs(t - atoms)) > 2.0 * width
-        assert dispersive_rhs(t, N, Q_max, g, 4.0) == 0.0
-
-    def test_zero_time_lower_bound(self):
-        g = TorusGeometry.square(1)
-        for N, r in ((8, 4.0), (16, 3.0)):
-            val = dispersive_rhs(0.0, N, 2, g, r)
-            assert val >= float(N) ** (g.d - 2.0 * g.d / r) - 1e-12
-
-    def test_r2_counts_windows(self):
-        g = TorusGeometry.square(1)
-        val = dispersive_rhs(0.0, 8, 4, g, 2.0)
-        assert val == pytest.approx(round(val), abs=1e-9)
-        assert val >= 1.0
-
-    def test_covers_arc_set(self):
-        # on the arc set the dyadic profiles telescope to a full bump: sum >= 1
-        g = TorusGeometry(1, (IRRATIONAL,))
-        N, sigma = 16, 0.25
-        params = MajorArcParams(sigma=sigma, N=N)
-        q_max = int(N ** (2 * sigma))
-        rng = np.random.default_rng(3)
-        hits = 0
-        for t in rng.random(200):
-            if in_major_arc(t, params, g)[0]:
-                hits += 1
-                assert dispersive_rhs(t, N, q_max, g, 2.0) >= 1.0 - 1e-12
-        assert hits > 0
-
-
-class TestBilinearFormCheck:
-    def params(self, Q=1, T=1.0 / 256, sigma=0.1):
-        return BilinearFormCheckParams(r0=2.0 / (1.0 - sigma), Q=Q, T_scale=T, sigma=sigma)
-
-    def test_recipe_validation(self):
-        p = self.params()
-        assert p.alpha == pytest.approx((4 - p.r0) / (2 * (p.r0 - 2)))
-        assert p.delta == pytest.approx(1.0 / p.alpha)
-        with pytest.raises(ValueError):
-            BilinearFormCheckParams(r0=2.05, Q=1, T_scale=0.1, sigma=0.1)
-
-    def test_empty_set_gives_zero(self):
-        lhs, rhs = bilinear_form_check([], [(0.0, 0.5)], self.params(), 16384)
-        assert lhs == 0.0
-
-    def test_full_circle_single_atom(self):
-        # E = F = circle, Q = 1: lhs = integral of the scaled profile = 3T
-        T = 1.0 / 64
-        lhs, rhs = bilinear_form_check([(0.0, 1.0)], [(0.0, 1.0)], self.params(T=T), 8192)
-        assert lhs == pytest.approx(3.0 * T, rel=1e-3)
-        assert rhs > 0
-
-    def test_quadrature_guard(self):
-        with pytest.raises(GridTooCoarseError):
-            bilinear_form_check([(0.0, 1.0)], [(0.0, 1.0)], self.params(T=1.0 / 512), 1024)
-
-    def test_atom_train_sup_at_most_one(self):
-        # atoms of the reduced train are separated by > 1/(2Q)^2 > 2T, so the
-        # scaled bumps never overlap and the train's sup is 1
-        for Q, N in ((1, 16), (2, 16), (4, 32)):
-            T = float(N) ** (2 * 0.1 - 2.0) / Q
-            xs = np.arange(65536) / 65536.0
-            train = atom_bump_train(Q, T, xs)
-            assert np.max(train) <= 1.0 + 1e-12
-
-    def test_random_draws_bounded_and_stable(self):
-        maxima = []
-        for N in (16, 32):
-            recs = run_bilinear_draws(N, sigma=0.1, n_draws=300, seed=42)
-            assert all(np.isfinite(r["ratio"]) for r in recs)
-            maxima.append(max(r["ratio"] for r in recs))
-        assert max(maxima) / min(maxima) < 2.5

@@ -22,7 +22,7 @@ from toruslab.propagator import (
     time_sample_count,
 )
 
-from test_core import random_field
+from test_core import lp_symbol, random_field
 
 IRRATIONAL = 0.7071067811865476  # sqrt(2)/2 to double precision
 
@@ -201,7 +201,6 @@ class TestKernelGrid:
         N, n_x, t = 4, 24, 0.37
         ev = kernel_grid(t, n_x, N, g)
         spec = np.fft.fftn(ev.values) / n_x**2
-        from toruslab.core import lp_symbol
         for k1 in range(-2 * N, 2 * N + 1):
             for k2 in range(-2 * N, 2 * N + 1):
                 phase = np.exp(-2j * np.pi * t * (k1**2 + IRRATIONAL * k2**2))

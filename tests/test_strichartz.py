@@ -1,4 +1,5 @@
-"""Space-time L^p norms, scaling sweeps and bilinear ratios, all through one streaming reducer."""
+"""Space-time L^p norms, scaling sweeps and bilinear ratios, all through one streaming reducer,
+checked against full-grid references kept here."""
 
 import ast
 import itertools
@@ -11,27 +12,95 @@ import pytest
 from scipy.fft import next_fast_len
 
 from toruslab import strichartz
-from toruslab.core import FrequencyField, TorusGeometry, sobolev_norm
+from toruslab.core import FrequencyField, TorusGeometry, require_dyadic, sobolev_norm
 from toruslab.propagator import _auto_chunk, time_sample_count
 from toruslab.strichartz import (
     _axis_groups,
+    _bilinear_norm,
+    _check_exponent,
     _quadrature_sizes,
     band_axis_coeffs,
-    bilinear_ratio,
     bilinear_ratio_tensor,
     bilinear_table,
     evolved_lp_norm,
     exponent_sweep,
     fit_scaling,
-    spacetime_lp_norm,
     sweep_data,
-    tensor_field,
 )
 
 from test_core import random_field
 from test_propagator import sample_grid
 
 IRRATIONAL = 0.7071067811865476
+
+
+# Full-grid references: the streamed norms and the tensor fast path are
+# compared against these, which hold every factor on its whole box.
+
+
+def spacetime_lp_norm(samples: np.ndarray, p) -> float:
+    """L^p power-mean norm of samples shaped (n_t, n_x, ..., n_x), p >= 1 or infinity.
+
+    The mean is over all samples (probability measure; infinity is a max), so
+    the time direction is a left-endpoint rule over the sample rows.
+    """
+    _check_exponent(p)
+    samples = np.asarray(samples)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    a = np.abs(samples)
+    scale = float(np.max(a))
+    if scale == 0.0 or p == np.inf:
+        return scale
+    a = a / scale  # power means are 1-homogeneous; normalizing avoids overflow
+    return scale * float(np.mean(a**p) ** (1.0 / p))
+
+
+def _band_support_ok(f: FrequencyField, N: int) -> bool:
+    """Support containment for 'field at scale N': the dyadic band (or core at N=1)."""
+    nz = np.argwhere(np.abs(f.coeffs) > 0)
+    if nz.size == 0:
+        return False
+    ks = np.abs(nz - f.box_radius)
+    if N == 1:
+        return bool(np.all(ks <= 1))
+    return bool(np.all((ks > N // 2) & (ks < 2 * N)))
+
+
+def bilinear_ratio(
+    f: FrequencyField,
+    N1: int,
+    h: FrequencyField,
+    N2: int,
+    geometry: TorusGeometry,
+    horizon: float = 1.0,
+    n_t: int | None = None,
+    n_x: int | None = None,
+) -> float:
+    """||(evolved f)(evolved h)||_{L^2_{t,x}([0,horizon) x torus)} / (N2^((d-2)/2) ||f|| ||h||).
+
+    The generic path: f and h stay whole boxes, so any pair on its dyadic
+    bands is accepted (bilinear_ratio_tensor takes tensor products only).
+    """
+    require_dyadic(N1)
+    require_dyadic(N2)
+    if not 1 <= N2 <= N1:
+        raise ValueError(f"need 1 <= N2 <= N1, got N1={N1}, N2={N2}")
+    if f.geometry != geometry or h.geometry != geometry:
+        raise ValueError("geometry mismatch")
+    if not _band_support_ok(f, N1) or not _band_support_ok(h, N2):
+        raise ValueError("band-projection mismatch: data must live on its dyadic band")
+    norm = _bilinear_norm([(f, h)], N1, geometry, horizon, n_t, n_x)
+    return norm / (float(N2) ** ((geometry.d - 2) / 2.0) * sobolev_norm(f, 0) * sobolev_norm(h, 0))
+
+
+def tensor_field(axes: list[np.ndarray], geometry: TorusGeometry) -> FrequencyField:
+    """Materialize a tensor-product coefficient box from per-axis vectors."""
+    coeffs = axes[0]
+    for v in axes[1:]:
+        coeffs = np.multiply.outer(coeffs, v)
+    M = (axes[0].size - 1) // 2
+    return FrequencyField(geometry, M, np.asarray(coeffs, dtype=np.complex128))
 
 
 class TestSpacetimeLpNorm:
@@ -343,6 +412,15 @@ class TestQuadratureSizes:
         assert _quadrature_sizes([(f,)], 4, 4, g, n_t=64.0, n_x=32.0) == (64, 32, True)
         fit = exponent_sweep("flat", 4.0, [1, 2, 4, 8], g, n_t=64.0)
         assert fit.norms == exponent_sweep("flat", 4.0, [1, 2, 4, 8], g, n_t=64).norms
+        # n_x = 32.0 passed the size check and then raised numpy's TypeError
+        # from a grid shape: every caller now uses the ints the check returns
+        want = evolved_lp_norm(f, 4, n_t=64, n_x=32)
+        assert evolved_lp_norm(f, 4, n_t=64, n_x=32.0) == want
+        assert evolved_lp_norm(f, 4, n_t=64.0, n_x=32.0) == want
+        g3 = TorusGeometry.square(3)
+        records = bilinear_table([2], (1.0, 0.5), g3, n_t=64.0, n_x=24.0)
+        assert records == bilinear_table([2], (1.0, 0.5), g3, n_t=64, n_x=24)
+        assert all(type(r["n_t"]) is int and type(r["n_x"]) is int for r in records)
 
     @pytest.mark.parametrize("theta", [(1.0, 1.0, 1.0), (1.0, IRRATIONAL, 0.3)])
     @pytest.mark.parametrize("kind", ["flat", "character", "random"])
