@@ -34,7 +34,7 @@ from .dispersive import check_dispersive
 from .errors import BoxTooSmallError, BudgetExceededError, GridTooCoarseError, NonContractionError
 from .io import write_field
 from .nls import NlsProblem, conservation_report, live_cells, picard_solve, split_step_evolve
-from .propagator import kernel_direct, kernel_grid
+from .propagator import _check_grid, kernel_direct, kernel_grid
 from .strichartz import _check_exponent, _check_scales, bilinear_table, exponent_sweep
 
 GUARD_ERRORS = (BudgetExceededError, GridTooCoarseError, BoxTooSmallError, NonContractionError)
@@ -58,17 +58,15 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence], meta: dict | None = None) -> None:
-    """Write rows as CSV: floats (numpy's too) as _fmt does, every other value as str.
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence], meta: dict) -> None:
+    """Write rows as CSV under a "# " line of meta: floats (numpy's too) as _fmt does, every
+    other value as str.
 
     Each row is formatted by one %-format string ("%.17g" per float cell, "%s"
     otherwise), built once per sequence of cell types.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    if meta is not None:
-        lines.append("# " + json.dumps(meta, sort_keys=True))
-    lines.append(",".join(header))
+    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(header)]
     formats: dict[tuple, str] = {}
     for row in rows:
         kinds = tuple(map(type, row))
@@ -130,9 +128,13 @@ def _exponent(ctx, param, value: float) -> float:
 
 
 def _horizons(ctx, param, text: str) -> list[float]:
+    """Click callback: the comma list of horizons, each checked by propagator._check_grid."""
     hs = _comma_list(float, text, param.opts[0])
-    if not all(np.isfinite(h) and h > 0 for h in hs):
-        raise click.BadParameter(f"horizons must be finite and > 0, got {text}", ctx, param)
+    try:
+        for h in hs:
+            _check_grid(h)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from None
     return hs
 
 
@@ -380,8 +382,8 @@ def _parse_data_spec(name: str, amp: float, g: TorusGeometry, box: int, seed: in
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
 def nls_run(dim, theta, sign, data, box, horizon, dt, solver, seed, dump_fields, budget, out_dir):
     """Run the critical-power solver and write per-step conservation diagnostics."""
-    if not 0 < dt <= horizon < np.inf:
-        raise click.UsageError(f"need 0 < dt <= T < inf, got dt={dt}, T={horizon}")
+    # the (T, dt) rule is the solvers' (nls._step_count), which live_cells reaches
+    # before any output: its ValueError is a usage error
     d = int(dim)
     g = _parse_theta(d, theta)
     data_spec, name, amp = data

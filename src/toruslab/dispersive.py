@@ -16,10 +16,11 @@ recurrence, with no exp per (t, k), and take the max over half the x-grid
 (the kernel is even in x); see propagator.kernel_axis_max_abs.
 
 check_dispersive sweeps the kernel once per N, in one call, on the union of
-the stratified grid and the Farey midpoints (check_diff_bound): the off-arc sup
-uses the off-arc times of the union, the envelope ratio uses the base-grid
-times, and the report carries the base-grid arrays, so a CSV dump costs no
-extra sweep.
+the stratified grid and the Farey midpoints (check_diff_bound, which alone
+checks N and the sizes and sets the 8N x-grid default, and returns the n_x it
+swept): the off-arc sup uses the off-arc times of the union, the envelope
+ratio uses the base-grid times, and the report carries the base-grid arrays,
+so a CSV dump costs no extra sweep.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class DispersiveReport:
     geometry: TorusGeometry
     sigma: float
     grid: dict
-    max_ratio_kernel_vs_bound: float | None = None
-    sup_offarc_kernel: float | None = None
-    fitted_constants: dict = field(default_factory=dict)
+    max_ratio_kernel_vs_bound: float
+    sup_offarc_kernel: float
+    fitted_constants: dict
     #: (ts, kmax, bounds) over the base grid, for CSV dumps; not part of the JSON.
     sweep: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -148,6 +149,8 @@ class DiffBoundResult:
     offarc_fraction: float
     degenerate: bool
     t_at_sup: float
+    #: The x-grid size the sweep used (8N unless given).
+    n_x: int
     #: (ts, kmax, on_base): the swept times, the kernel maxima there and the
     #: mask of the base-grid times, which check_dispersive reuses.
     sweep: tuple | None = field(default=None, repr=False, compare=False)
@@ -175,9 +178,10 @@ def check_diff_bound(
     """sup over off-arc grid times of max_x |K(t, x)| / N^(d(1-sigma)).
 
     One sweep covers the base grid and the Farey midpoints, on and off the arcs.
-    n_t and n_x are checked by propagator._check_grid before any sweep.
+    N must be a power of two and n_t and n_x are checked by
+    propagator._check_grid, all before any sweep; n_x defaults to 8N.
     """
-    require_dyadic(N)
+    N = require_dyadic(N)
     n_t, n_x = _check_grid(n_t=n_t, n_x=n_x)
     if n_x is None:
         n_x = 8 * N
@@ -190,7 +194,7 @@ def check_diff_bound(
     frac = float(np.count_nonzero(off)) / ts.size
     if not off.any():
         return DiffBoundResult(constant=float("nan"), offarc_fraction=0.0, degenerate=True,
-                               t_at_sup=float("nan"), sweep=sweep)
+                               t_at_sup=float("nan"), n_x=n_x, sweep=sweep)
     scale = float(N) ** (geometry.d * (1.0 - sigma))
     i = np.flatnonzero(off)[np.argmax(kmax[off])]
     return DiffBoundResult(
@@ -198,6 +202,7 @@ def check_diff_bound(
         offarc_fraction=frac,
         degenerate=False,
         t_at_sup=float(ts[i]),
+        n_x=n_x,
         sweep=sweep,
     )
 
@@ -217,12 +222,8 @@ def check_dispersive(
     max is always >= 3^d.  sup_offarc_kernel and the fitted constants
     offarc_fraction, offarc_degenerate and t_at_offarc_sup are check_diff_bound's
     result, and the ratio reads the base-grid rows of its sweep.
-    n_t and n_x are checked by propagator._check_grid before any sweep.
+    N, n_t and n_x are checked by check_diff_bound before its sweep.
     """
-    require_dyadic(N)
-    n_t, n_x = _check_grid(n_t=n_t, n_x=n_x)
-    if n_x is None:
-        n_x = 8 * N
     diff = check_diff_bound(N, sigma, geometry, n_t=n_t, n_x=n_x)
     ts, kmax, on_base = diff.sweep
     ts, kmax = ts[on_base], kmax[on_base]
@@ -230,22 +231,21 @@ def check_dispersive(
     ratios = kmax / bounds
     i = int(np.argmax(ratios))
     t0 = int(np.searchsorted(ts, 0.0))
-    report = DispersiveReport(
+    return DispersiveReport(
         N=N,
         geometry=geometry,
         sigma=sigma,
-        grid={"n_t": int(ts.size), "n_x": int(n_x), "stratified": True},
+        grid={"n_t": int(ts.size), "n_x": diff.n_x, "stratified": True},
+        max_ratio_kernel_vs_bound=float(ratios[i]),
         sup_offarc_kernel=diff.constant,
+        fitted_constants={
+            "t_at_max": float(ts[i]),
+            "ratio_at_t0": float(ratios[t0]),
+            "bound_at_max": float(bounds[i]),
+            "offarc_fraction": diff.offarc_fraction,
+            "offarc_degenerate": bool(diff.degenerate),
+            "t_at_offarc_sup": diff.t_at_sup,
+        },
         sweep=(ts, kmax, bounds),
     )
-    report.max_ratio_kernel_vs_bound = float(ratios[i])
-    report.fitted_constants = {
-        "t_at_max": float(ts[i]),
-        "ratio_at_t0": float(ratios[t0]),
-        "bound_at_max": float(bounds[i]),
-        "offarc_fraction": diff.offarc_fraction,
-        "offarc_degenerate": bool(diff.degenerate),
-        "t_at_offarc_sup": diff.t_at_sup,
-    }
-    return report
 

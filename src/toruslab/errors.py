@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Guard violations (grids or boxes too small, resource budgets exceeded, a
-fixed-point iteration that does not contract) map to CLI exit code 1; plain
+fixed-point iteration that does not contract, a solve that does not stay
+finite) map to CLI exit code 1; plain
 usage errors map to exit code 2.
 """
 
@@ -19,4 +20,5 @@ class BudgetExceededError(RuntimeError):
 
 
 class NonContractionError(RuntimeError):
-    """Fixed-point iteration failed to contract; data too large or horizon too long."""
+    """A solve failed: the fixed-point iteration does not contract, or the solution does
+    not stay finite; data too large or horizon too long."""

@@ -27,10 +27,13 @@ grid one axis at a time (propagator._synthesize), apply a pointwise map, and
 analyze back with the mirror primitive (propagator._analyze), in batches of
 propagator._auto_chunk(n^d) rows for an n^d grid.  Picard's map scales the
 values by sign*|u|^(4/(d-2)), split-step's rotates them by the nonlinear
-sub-flow's phase.  The solvers keep the largest energy a round trip
-discards outside the box in Trajectory.info["max_truncated_energy"].  Both
-solvers share one time grid (_time_nodes): one step rule, one stability
-guard.
+sub-flow's phase, at every coupling (zero coupling rotates by exactly 1).
+The solvers keep the largest energy a round trip discards outside the box in
+Trajectory.info["max_truncated_energy"].  Both solvers share one time grid
+(_time_nodes): one (T, dt) rule (_step_count, which contraction_factor,
+live_cells and nls-run reach too), one step rule, one stability guard.  Both
+end in _wrap_trajectory, which raises NonContractionError when a state or
+diagnostic is not finite, as Picard's loop does for a non-finite iterate.
 
 Conserved quantities (mass, theta-weighted energy) and the Sobolev norm are
 tracked per time step; their drift is the primary solver diagnostic.  One
@@ -219,8 +222,15 @@ def energy(u: FrequencyField, sign: int) -> float:
 
 
 def _step_count(T: float, dt: float) -> int:
-    """Steps of a solve of [0, T] at step dt: round(T/dt), half to even, at least one."""
-    return max(int(round(T / dt)), 1)
+    """Steps of a solve of [0, T] at step dt: round(T/dt), half to even, at least one.
+
+    The one (T, dt) rule of both solvers, contraction_factor, live_cells and
+    nls-run: anything but 0 < dt <= T < inf (NaN fails) raises ValueError
+    naming dt and T.
+    """
+    if not 0 < dt <= T < math.inf:
+        raise ValueError(f"need 0 < dt <= T < inf, got dt={dt}, T={T}")
+    return round(T / dt)
 
 
 def _time_nodes(problem: NlsProblem, T: float, dt: float) -> np.ndarray:
@@ -260,8 +270,14 @@ def _duhamel_integral(
 def _wrap_trajectory(
     problem: NlsProblem, times: np.ndarray, U: np.ndarray, info: dict
 ) -> Trajectory:
+    """The solve's Trajectory and its diagnostics, where both solves end.  A diagnostic
+    that is not finite raises NonContractionError, as a non-finite Picard iterate does; a
+    state that is not finite has a non-finite mass, so the diagnostics cover the states."""
     traj = Trajectory(times, U, problem.geometry, problem.u0.box_radius, info=info)
-    traj.diagnostics = compute_diagnostics(traj, problem)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
+        traj.diagnostics = compute_diagnostics(traj, problem)
+    if not all(np.isfinite(v).all() for v in traj.diagnostics.values()):
+        raise NonContractionError(f"the {info['solver']} solution does not stay finite; reduce the data or the horizon")
     return traj
 
 
@@ -371,8 +387,11 @@ def split_step_evolve(
     The nonlinear sub-flow rotates grid values by exp(-i*sign*dt/2*|u|^(4/(d-2)))
     exactly (|u| is invariant); the linear step is exact in coefficient space.
     A blow-up guard aborts with a flagged, truncated trajectory when the H1
-    norm exceeds 1e3 times its initial value.  info["max_truncated_energy"] is
-    the largest energy a round trip discarded outside the box (0 without one).
+    norm exceeds 1e3 times its initial value; a solution that does not stay
+    finite raises NonContractionError (_wrap_trajectory).  Zero coupling runs
+    the round trip too, whose rotation is then exactly 1.
+    info["max_truncated_energy"] is the largest energy a round trip discarded
+    outside the box.
     """
     M = problem.u0.box_radius
     times = _time_nodes(problem, T, dt)
@@ -390,8 +409,6 @@ def split_step_evolve(
 
     def half_nonlinear(row: np.ndarray) -> np.ndarray:
         nonlocal max_trunc
-        if problem.coupling == 0.0:
-            return row  # phase rotation is identically 1; skip the grid round trip
         rows, trunc = _round_trip(row[None, :], problem, rotate)
         max_trunc = max(max_trunc, float(trunc[0]))
         return rows[0]
@@ -400,14 +417,16 @@ def split_step_evolve(
     U[0] = u = problem.u0.coeffs.ravel()
     h1_initial = sobolev_norm(problem.u0, 1)
     flagged = False
-    for i in range(1, times.size):
-        u = half_nonlinear(u)
-        u = u * lin_phase
-        u = half_nonlinear(u)
-        U[i] = u
-        if h1_initial > 0 and _h1_rows(np.abs(U[i : i + 1]) ** 2, problem.d, M)[0] > BLOWUP_FACTOR * h1_initial:
-            flagged = True
-            break
+    # an overflow makes the states or diagnostics non-finite; _wrap_trajectory reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, times.size):
+            u = half_nonlinear(u)
+            u = u * lin_phase
+            u = half_nonlinear(u)
+            U[i] = u
+            if h1_initial > 0 and _h1_rows(np.abs(U[i : i + 1]) ** 2, problem.d, M)[0] > BLOWUP_FACTOR * h1_initial:
+                flagged = True
+                break
     info = {"solver": "split-step", "dt": step, "max_truncated_energy": max_trunc}
     if flagged:
         info["flag"] = "blowup"
@@ -440,15 +459,18 @@ def contraction_factor(problem: NlsProblem, T: float, dt: float) -> float:
     Perturbs the free trajectory by an independent mode times 1% of the
     data's H1 norm and measures sup-H1(Phi v - Phi u) / sup-H1(v - u).  The free parts cancel
     structurally, so only the flowed-back nonlinearity difference is formed.
+    Data of H1 norm 0 leave no perturbation and raise ValueError.
     """
     M = problem.u0.box_radius
     times = _time_nodes(problem, T, dt)
+    h1 = sobolev_norm(problem.u0, 1)
+    if h1 == 0:
+        raise ValueError("contraction_factor perturbs by 1% of the data's H1 norm, which is 0 here")
     forward, back, U = _free_flow(problem, times)
     k1 = (1,) + (0,) * (problem.d - 1)
     w0 = FrequencyField.character(problem.geometry, M, k1, amplitude=1.0)
     W = w0.coeffs.ravel()[None, :] * forward  # same geometry and box, so the same flow
-    delta = 0.01 * sobolev_norm(problem.u0, 1)
-    V = U + delta * W
+    V = U + 0.01 * h1 * W
 
     I_u, _ = _duhamel_integral(U, problem, times, back)
     I_v, _ = _duhamel_integral(V, problem, times, back)

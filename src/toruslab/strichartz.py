@@ -17,17 +17,18 @@ the horizon, so for even p with S > 0 and a non-integer weight or a horizon
 other than 1 the band-exact n_x is used with the resolution rule's n_t.  In
 every other case (odd or fractional p, or band-exact sizes costing more cells
 than the resolution rule) the sizes resolve the fastest quadratic phase with
-16 time samples per period, with n_x = 8N in d = 1 and 4N otherwise
-(max(64, 2N1) for bilinear products).  Only an even p on integer weights
-over [0, 1), or with S = 0, is exact; the other values are approximations,
-and each choice reports whether it is exact.  Explicit sizes win; they must
-be whole numbers >= 1, by the size rule the kernel sweeps share
-(propagator._check_grid).
-Every space-time integral streams through one reducer (_stream), which
-never materializes the space-time array: it fills one vector of per-time
-values chunk by chunk, and each norm reduces that vector once, so a norm does
-not depend on the time chunk.  Tensor-product bilinear data runs as one 1-d
-field per coordinate.
+16 time samples per period over the horizon (at least 64 samples), with
+n_x = 8N in d = 1 and 4N otherwise (max(64, 2N1) for bilinear products).
+Only an even p on integer weights over [0, 1), or with S = 0, is exact; the
+other values are approximations, and each choice reports whether it is
+exact.  Explicit sizes win; they must be whole numbers >= 1, by the size rule
+the kernel sweeps share (propagator._check_grid).
+Every space-time norm, a bilinear product's L^2 norm included, is one
+function (_lp_norm): it builds the left-endpoint times of [0, horizon),
+streams them through one reducer (_stream), which never materializes the
+space-time array but fills one vector of per-time values chunk by chunk, and
+reduces that vector once, so a norm does not depend on the time chunk.
+Tensor-product bilinear data runs as one 1-d field per coordinate.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .core import (
     FrequencyField,
     TorusGeometry,
     _modulus_power,
-    is_dyadic,
     require_dyadic,
 )
 from .propagator import _check_grid, _time_chunk, iter_evolved_grids, time_sample_count
@@ -79,23 +79,31 @@ def _stream(groups, ts: np.ndarray, n_x: int, integrand, over_x=np.mean) -> np.n
     return out
 
 
-def evolved_lp_norm(f: FrequencyField, p: float, *, n_t: int, n_x: int) -> float:
-    """Streaming L^p_{t,x} norm of the free evolution of f on [0, 1), p >= 1 or infinity.
+def _lp_norm(groups, p: float, horizon: float, n_t: int, n_x: int) -> float:
+    """L^p_{t,x}([0, horizon) x torus) norm of the integrand _stream makes of groups.
 
-    |u| peaks at the l1 norm of the coefficients; a finite p for which |u|^p
-    overflows a float raises ValueError naming p and the overflow.
+    Every space-time norm is this one: n_t left-endpoint times on [0, horizon),
+    one _stream pass, and one reduction of the per-time vector (time measure dt,
+    the torus a probability space).  |u| peaks at the l1 norm of the
+    coefficients; a finite p for which |u|^p overflows a float raises
+    ValueError naming p and the overflow.
     """
-    _check_exponent(p)
-    n_t, n_x = _check_grid(n_t=n_t, n_x=n_x)
-    ts = np.arange(n_t) * (1.0 / n_t)
+    ts = np.arange(n_t) * (horizon / n_t)
     if p == np.inf:
-        tops = _stream([(f,)], ts, n_x, lambda u: _modulus_power(u, 2.0), over_x=np.max)
+        tops = _stream(groups, ts, n_x, lambda u: _modulus_power(u, 2.0), over_x=np.max)
         return math.sqrt(float(np.max(tops)))
     with np.errstate(over="ignore"):  # the finiteness check below reports it
-        acc = float(np.sum(_stream([(f,)], ts, n_x, lambda u: _modulus_power(u, p))))
+        acc = float(np.sum(_stream(groups, ts, n_x, lambda u: _modulus_power(u, p))))
     if not math.isfinite(acc):
         raise ValueError(f"|u|^p overflows a float at p = {p:g}; use a smaller p")
-    return (acc / n_t) ** (1.0 / p)
+    return (horizon * acc / n_t) ** (1.0 / p)
+
+
+def evolved_lp_norm(f: FrequencyField, p: float, *, n_t: int, n_x: int) -> float:
+    """Streaming L^p_{t,x} norm of the free evolution of f on [0, 1), p >= 1 or infinity (_lp_norm)."""
+    _check_exponent(p)
+    n_t, n_x = _check_grid(n_t=n_t, n_x=n_x)
+    return _lp_norm([(f,)], p, 1.0, n_t, n_x)
 
 
 def _field_extent(f: FrequencyField) -> tuple[int, float]:
@@ -143,11 +151,8 @@ def _quadrature_sizes(
     periodic = spread == 0 or (all(float(th).is_integer() for th in geometry.theta) and horizon == 1.0)
     m = int(p) // 2 if even else 0
     need_t, need_x = m * int(round(spread)) + 1, 2 * m * band + 1
-    if len(factors) == 1:
-        loose_t, loose_x = time_sample_count(N, geometry), 8 * N if d == 1 else 4 * N
-    else:
-        loose_t = max(int(math.ceil(time_sample_count(N, geometry) * horizon)), 64)
-        loose_x = max(64, 2 * N)
+    loose_t = max(int(math.ceil(time_sample_count(N, geometry) * horizon)), 64)
+    loose_x = (8 * N if d == 1 else 4 * N) if len(factors) == 1 else max(64, 2 * N)
     # the spatial band does not depend on theta or the horizon; the temporal one does
     tight_t, cap = need_t if periodic else loose_t, loose_t * loose_x**d
     # rounding n_x up only adds cells, so a band over the cap is not rounded:
@@ -200,10 +205,7 @@ class ScalingFit:
     quadrature: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
-        if not all(b > a for a, b in zip(self.N_list, self.N_list[1:])):
-            raise ValueError("N_list must be strictly increasing")
-        if not all(is_dyadic(n) for n in self.N_list):
-            raise ValueError("N_list must be dyadic")
+        _check_scales(self.N_list)
         if not all(v > 0 for v in self.norms):
             raise ValueError("norms must be positive")
         if not np.isfinite(self.slope):
@@ -214,8 +216,9 @@ def fit_scaling(N_list, norms, p: float, theoretical: float) -> ScalingFit:
     """Least-squares line log(norm) = slope * log(N) + intercept over the scales.
 
     max_residual is the largest |log residual|; theoretical is the exponent
-    the fit is compared with.  ScalingFit checks the scales (dyadic, strictly
-    increasing), the norms (positive) and the slope (finite): ValueError.
+    the fit is compared with.  ScalingFit checks the scales (_check_scales: at
+    least 4 powers of two, strictly increasing), the norms (positive) and the
+    slope (finite): ValueError.
     """
     logs_n = np.log(np.asarray(N_list, dtype=float))
     logs_v = np.log(np.asarray(norms, dtype=float))
@@ -273,18 +276,6 @@ def exponent_sweep(
 # Bilinear products of free evolutions
 
 
-def _bilinear_norm(groups, N1: int, geometry: TorusGeometry, horizon, n_t, n_x) -> float:
-    """L^2_{t,x}([0, horizon) x torus) norm of the product, over groups, of each group's evolutions.
-
-    bilinear_ratio_tensor and the tests' full-grid reference both read it.
-    """
-    if geometry.d < 3:
-        raise ValueError("bilinear check requires d >= 3")
-    n_t, n_x, _ = _quadrature_sizes(groups, 2, N1, geometry, horizon, n_t, n_x)
-    ts = np.arange(n_t) * (horizon / n_t)
-    return math.sqrt(horizon * float(np.sum(_stream(groups, ts, n_x, lambda u: np.abs(u) ** 2))) / n_t)
-
-
 def band_axis_coeffs(kind: str, N: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """1-d coefficient vector over [-N, N] supported on the dyadic shell, unit L2.
 
@@ -339,15 +330,20 @@ def bilinear_ratio_tensor(
     class.  The product runs as one 1-d field per coordinate: the spatial
     mean of the product field factors exactly over coordinates on the product
     grid, so this path gives the full-box value (the tests keep a full-grid
-    reference) at a fraction of the cost.  Axis vectors must be unit L2: a
-    squared norm more than 1e-12 from 1 raises ValueError naming the axis.
+    reference) at a fraction of the cost.  The groups are sized by
+    _quadrature_sizes and reduced by _lp_norm, as every norm is; d < 3 raises
+    ValueError.  Axis vectors must be unit L2: a squared norm more than 1e-12
+    from 1 raises ValueError naming the axis.
     """
+    if geometry.d < 3:
+        raise ValueError("bilinear check requires d >= 3")
     for side, axes in (("axes_f", axes_f), ("axes_h", axes_h)):
         for j, v in enumerate(axes):
             if abs(np.sum(np.abs(v) ** 2) - 1.0) > 1e-12:
                 raise ValueError(f"{side}[{j}] must be unit L2, got squared norm {np.sum(np.abs(v) ** 2)!r}")
-    norm = _bilinear_norm(_axis_groups(axes_f, axes_h, geometry), N1, geometry, horizon, n_t, n_x)
-    return norm / float(N2) ** ((geometry.d - 2) / 2.0)
+    groups = _axis_groups(axes_f, axes_h, geometry)
+    n_t, n_x, _ = _quadrature_sizes(groups, 2, N1, geometry, horizon, n_t, n_x)
+    return _lp_norm(groups, 2, horizon, n_t, n_x) / float(N2) ** ((geometry.d - 2) / 2.0)
 
 
 def bilinear_table(
@@ -359,7 +355,7 @@ def bilinear_table(
     n_t: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Ratio table over dyadic pairs N2 <= N1 and time horizons (tensor fast path).
+    """Ratio table over every dyadic N2 <= N1, each N1, and time horizons (tensor fast path).
 
     Each record carries the quadrature it used: n_t, n_x and exact.
     """
@@ -370,8 +366,7 @@ def bilinear_table(
     rng = np.random.default_rng(seed)
     records = []
     for N1 in N1_list:
-        n2_values = [n for n in (2**j for j in range(0, 12)) if n <= N1]
-        for N2 in n2_values:
+        for N2 in (2**j for j in range(N1.bit_length())):
             axes_f = [band_axis_coeffs(data, N1, rng) for _ in range(geometry.d)]
             axes_h = [band_axis_coeffs(data, N2, rng) for _ in range(geometry.d)]
             groups = _axis_groups(axes_f, axes_h, geometry)

@@ -364,6 +364,20 @@ class TestNlsRun:
         assert aborted["truncated"] is True
         assert aborted["error"].startswith("NonContractionError")
 
+    @pytest.mark.parametrize("solver", ["splitstep", "picard"])
+    @pytest.mark.parametrize("data", ["character:1e60", "character:1e100"], ids=["inf-energy", "nan-states"])
+    def test_non_finite_solve_is_guard_abort(self, runner, tmp_path, solver, data):
+        # split-step exited 0 with "flag": null and NaN or Infinity in nls_summary.json
+        result = runner.invoke(main, [
+            "nls-run", "--d", "3", "--N", "2", "--T", "0.01", "--dt", "0.001",
+            "--data", data, "--solver", solver, "--out-dir", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        aborted = json.loads((tmp_path / "aborted.json").read_text())
+        assert aborted["truncated"] is True
+        assert aborted["error"].startswith("NonContractionError")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aborted.json"]
+
 
 #: A bad size, exponent or horizon, each passed last with its flag.
 BAD_VALUES = [

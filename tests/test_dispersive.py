@@ -278,6 +278,16 @@ class TestSharedSweep:
         for _, ts in calls:
             assert np.array_equal(ts, union)
 
+    @pytest.mark.parametrize("n_x", [None, 40, 40.0])
+    def test_report_reads_the_swept_n_x(self, n_x):
+        # check_diff_bound alone checks the sizes and sets the 8N default, and
+        # carries the n_x it swept for the report's grid record
+        g = TorusGeometry.square(1)
+        diff = check_diff_bound(8, 0.1, g, n_x=n_x)
+        want = 64 if n_x is None else 40
+        assert type(diff.n_x) is int and diff.n_x == want
+        assert check_dispersive(8, g, n_x=n_x).grid["n_x"] == want
+
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 0.7])
     def test_sigma_out_of_range(self, sigma):
         with pytest.raises(ValueError):

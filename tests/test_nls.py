@@ -1,6 +1,7 @@
 """Integral-map and split-step solvers: exact solutions, symmetry, conservation."""
 
 import ast
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -224,6 +225,46 @@ class TestDuhamel:
                 solve(prob, 1.0, 0.5)
 
 
+class TestStepRule:
+    """One (T, dt) rule, nls._step_count: 0 < dt <= T < inf, else ValueError naming both."""
+
+    @pytest.mark.parametrize(
+        "T, dt",
+        [(-0.01, 1e-3), (0.0, 1e-3), (0.01, 0.0), (0.01, -1e-3), (0.01, 0.5), (math.nan, 1e-3),
+         (0.01, math.nan), (math.inf, 1e-3), (-math.inf, 1e-3), (0.01, math.inf), (0.01, -math.inf)],
+    )
+    def test_bad_horizon_or_step_rejected(self, T, dt):
+        # T = -0.01 ran one backward step, dt = -1e-3 one step of length T, dt > T
+        # one step of length T, dt = 0 divided by zero, and NaN and inf failed
+        # only by accident, in the conversion of T/dt to a step count
+        prob = plane_wave_problem(0.1, M=2)
+        calls = [
+            lambda: picard_solve(prob, T, dt),
+            lambda: split_step_evolve(prob, T, dt),
+            lambda: contraction_factor(prob, T, dt),
+            lambda: live_cells(3, 2, T, dt, "splitstep"),
+            lambda: live_cells(3, 2, T, dt, "picard"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"need 0 < dt <= T < inf, got dt=.*, T="):
+                call()
+
+    def test_one_home(self):
+        # the rule is checked in _step_count alone: no other function compares dt,
+        # and nls-run reaches the rule through live_cells
+        compares, raises = set(), set()
+        for path in sorted(PACKAGE.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top):
+                    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    if isinstance(node, ast.Compare) and "dt" in names:
+                        compares.add(where)
+                    if isinstance(node, ast.Raise) and "ValueError" in names and "dt" in names:
+                        raises.add(where)
+        assert compares == raises == {"nls._step_count"}
+
+
 class TestPicard:
     def test_zero_data(self):
         g = cubic_geometry()
@@ -269,6 +310,13 @@ class TestPicard:
             with pytest.raises(NonContractionError, match="not finite"):
                 picard_solve(prob, 0.25, 0.01)
 
+    def test_zero_data_contraction_factor_rejected(self):
+        # the perturbation is 1% of the data's H1 norm: zero data gave NaN
+        g = cubic_geometry()
+        prob = NlsProblem(g, +1, FrequencyField.zeros(g, 2))
+        with pytest.raises(ValueError, match="H1 norm"):
+            contraction_factor(prob, 0.1, 1e-2)
+
     def test_non_contraction_detected(self):
         prob = plane_wave_problem(1.6, M=2)
         with pytest.raises(NonContractionError):
@@ -290,9 +338,10 @@ class TestSplitStep:
         assert all(np.all(s.coeffs == 0) for s in traj.states)
 
     def test_linear_limit_matches_free_flow(self):
-        # zero coupling skips the pointwise stage entirely; what remains is the
-        # stepwise linear phase, equal to the one-shot free flow up to float
-        # associativity of the accumulated phases
+        # zero coupling still runs the round trip, whose rotation is exactly 1;
+        # what remains is the round trip's rounding and the stepwise linear
+        # phase, equal to the one-shot free flow up to float associativity of
+        # the accumulated phases
         g = cubic_geometry()
         rng = np.random.default_rng(1)
         u0 = FrequencyField(g, 2, 0.1 * (rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))))
@@ -332,6 +381,20 @@ class TestSplitStep:
         assert traj.info.get("flag") == "blowup"
         assert traj.times[-1] < 0.25
         assert len(traj.states) == traj.times.size
+
+
+class TestNonFiniteSolve:
+    @pytest.mark.parametrize("solve", [split_step_evolve, picard_solve])
+    @pytest.mark.parametrize("amplitude", [1e60, 1e100])
+    def test_guard_error_without_warnings(self, solve, amplitude):
+        # split-step returned these: at 1e60 the potential term overflows, so
+        # every energy is inf; at 1e100 every state after t = 0 is NaN
+        g = cubic_geometry()
+        prob = NlsProblem(g, +1, FrequencyField.character(g, 2, (1, 0, 0), amplitude=amplitude))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonContractionError, match="not finite|does not stay finite"):
+                solve(prob, 0.01, 1e-3)
 
 
 class TestSolverAgreement:

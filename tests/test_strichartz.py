@@ -16,8 +16,8 @@ from toruslab.core import FrequencyField, TorusGeometry, require_dyadic, sobolev
 from toruslab.propagator import _auto_chunk, time_sample_count
 from toruslab.strichartz import (
     _axis_groups,
-    _bilinear_norm,
     _check_exponent,
+    _lp_norm,
     _quadrature_sizes,
     band_axis_coeffs,
     bilinear_ratio_tensor,
@@ -80,8 +80,11 @@ def bilinear_ratio(
     """||(evolved f)(evolved h)||_{L^2_{t,x}([0,horizon) x torus)} / (N2^((d-2)/2) ||f|| ||h||).
 
     The generic path: f and h stay whole boxes, so any pair on its dyadic
-    bands is accepted (bilinear_ratio_tensor takes tensor products only).
+    bands is accepted (bilinear_ratio_tensor takes tensor products only).  The
+    one group [(f, h)] is sized and reduced as every norm is.
     """
+    if geometry.d < 3:
+        raise ValueError("bilinear check requires d >= 3")
     require_dyadic(N1)
     require_dyadic(N2)
     if not 1 <= N2 <= N1:
@@ -90,7 +93,8 @@ def bilinear_ratio(
         raise ValueError("geometry mismatch")
     if not _band_support_ok(f, N1) or not _band_support_ok(h, N2):
         raise ValueError("band-projection mismatch: data must live on its dyadic band")
-    norm = _bilinear_norm([(f, h)], N1, geometry, horizon, n_t, n_x)
+    n_t, n_x, _ = _quadrature_sizes([(f, h)], 2, N1, geometry, horizon, n_t, n_x)
+    norm = _lp_norm([(f, h)], 2, horizon, n_t, n_x)
     return norm / (float(N2) ** ((geometry.d - 2) / 2.0) * sobolev_norm(f, 0) * sobolev_norm(h, 0))
 
 
@@ -246,6 +250,14 @@ class TestExponentSweep:
     def test_fit_validation(self):
         with pytest.raises(ValueError):
             fit_scaling([8, 4, 16, 32], [1, 1, 1, 1], 8.0, 0.1)
+
+    def test_fit_checks_scales_as_the_sweep_does(self):
+        # ScalingFit reads the sweep's scale rule (_check_scales): three scales
+        # used to fit a line with no error
+        with pytest.raises(ValueError, match="at least 4"):
+            fit_scaling([2, 4, 8], [1.0, 2.0, 3.0], 8.0, 0.1)
+        with pytest.raises(ValueError, match="power of two"):
+            fit_scaling([2, 4, 8, 12], [1, 1, 1, 1], 8.0, 0.1)
 
 
 def _resonant_l6(c: np.ndarray) -> float:
@@ -451,6 +463,34 @@ class TestQuadratureSizes:
         params = {a.arg for fn in functions for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
         assert "extents" not in params
 
+    def test_one_space_time_norm(self):
+        # norms and bilinear products alike: one function builds the times and
+        # reduces the per-time vector the stream gives
+        tree = ast.parse(Path(strichartz.__file__).read_text())
+        callers = [
+            fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_stream" for n in ast.walk(fn))
+        ]
+        assert callers == ["_lp_norm"]
+
+    def test_one_resolution_time_rule(self):
+        # norms and bilinear products take max(ceil(time_sample_count * horizon), 64)
+        # at every horizon, which is time_sample_count itself at horizon 1
+        g = TorusGeometry.square(3)
+        f = sweep_data("flat", 8, g)
+        for T in (1.0, 0.25, 1e-3):
+            want = max(math.ceil(time_sample_count(8, g) * T), 64)
+            assert _quadrature_sizes([(f,)], 3, 8, g, T)[0] == want
+            assert _quadrature_sizes([(f, f)], 3, 8, g, T)[0] == want
+
+    def test_bilinear_table_pairs_every_dyadic_n2(self):
+        # N2 ran over 2**j for j < 12, so N1 = 4096 lost its diagonal
+        g = TorusGeometry.square(3)
+        records = bilinear_table([4096], [1.0], g, data="character")
+        assert [r["N2"] for r in records] == [2**j for j in range(13)]
+        # a character pair has |u v| = 1: the ratio is sqrt(T / N2) in d = 3
+        assert records[-1]["ratio"] == pytest.approx(math.sqrt(1.0 / 4096), rel=1e-12)
+
     def test_bilinear_table_records_quadrature(self):
         g = TorusGeometry.square(3)
         # character data have spread 0, so one time is exact at every horizon
@@ -616,9 +656,12 @@ class TestBilinearRatio:
 
     def test_dimension_guard(self):
         g = TorusGeometry.square(2)
-        f = tensor_field([band_axis_coeffs("flat", 2)] * 2, g)
+        axes = [band_axis_coeffs("flat", 2)] * 2
+        f = tensor_field(axes, g)
         with pytest.raises(ValueError):
             bilinear_ratio(f, 2, f, 2, g, n_t=16, n_x=16)
+        with pytest.raises(ValueError, match="d >= 3"):
+            bilinear_ratio_tensor(axes, 2, axes, 2, g, n_t=16, n_x=16)
 
     def test_ordering_guard(self):
         g = self.geometry()

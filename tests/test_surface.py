@@ -19,11 +19,11 @@ KEPT = {
     "core.synthesize": "direct-summation oracle the grid synthesis is tested against",
     "core.project": "documented API: the smooth Littlewood-Paley projectors",
     "arithmetic.farey_atoms": "documented API: the reduced fractions a/q with q ~ Q",
-    "propagator.free_evolve": "one-time oracle the streamed and NLS flows are tested against",
-    "dispersive.dispersive_bound": "one-time oracle of dispersive_bound_batch",
+    "propagator.free_evolve": "one-state form of the free flow (_flow at one time), which the tests compare the streamed and NLS flows with",
+    "dispersive.dispersive_bound": "one-time form of dispersive_bound_batch",
     "nls.mass": "per-state oracle of the diagnostics pass's mass column",
-    "nls.energy": "per-state oracle of the diagnostics pass's energy column",
-    "nls.nonlinearity": "per-state oracle of the solvers' nonlinear term",
+    "nls.energy": "one-state form of the diagnostics pass (compute_diagnostics on one row)",
+    "nls.nonlinearity": "one-state form of the solvers' nonlinear term (_nonlinearity_rows on one row)",
     "io.read_field": "reads the .fld files nls-run --dump-fields writes",
 }
 
