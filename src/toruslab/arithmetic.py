@@ -206,16 +206,26 @@ def f2_hat(omega: int, Q: int) -> int:
     return sum(_window_divisors(w, Q))
 
 
+def _check_sigma(sigma: float) -> float:
+    """The arc width rule: 0 < sigma < 1/2 (NaN fails); returns sigma."""
+    if not 0.0 < sigma < 0.5:
+        raise ValueError(f"sigma must lie in (0, 1/2), got {sigma}")
+    return sigma
+
+
 @dataclass(frozen=True)
 class MajorArcParams:
-    """Arc width/denominator budget: q <= N^(2 sigma) and q N^2 |theta t - a/q| <= N^(2 sigma)."""
+    """Arc width/denominator budget: q <= N^(2 sigma) and q N^2 |theta t - a/q| <= N^(2 sigma).
+
+    sigma follows the arc width rule (_check_sigma), which the CLI's --sigma
+    options share; N is a power of two >= 2.
+    """
 
     sigma: float
     N: int
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 0.5:
-            raise ValueError(f"sigma must lie in (0, 1/2), got {self.sigma}")
+        _check_sigma(self.sigma)
         require_dyadic(self.N)
         if self.N < 2:
             raise ValueError(f"need N >= 2, got N={self.N}")

@@ -8,6 +8,13 @@ written with 17 significant digits in CSV and shortest-roundtrip form in JSON.
 
 Exit codes: 0 success, 1 resource/guard abort (partial results are flushed
 with a "truncated" marker where they exist), 2 usage error.
+
+Every option that needs more than click's type is parsed and checked on one
+path, before the command runs: its callback is _flag(parse), and parse raises
+ValueError, by the library's own rule where there is one (_check_exponent,
+_check_sigma, _check_grid, _check_scales, require_dyadic, TorusGeometry).
+--d is eager, so --theta and --x are read against it wherever they are given,
+and each command receives the torus (TorusGeometry), not the weights.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from . import __version__
 from .core import PHI_PROFILE_ID, FrequencyField, TorusGeometry, is_dyadic, require_dyadic
 from .arithmetic import (
     MajorArcParams,
+    _check_sigma,
     dirichlet_approx,
     divisor_count_dyadic,
     f2_hat,
@@ -38,10 +46,6 @@ from .propagator import _check_grid, kernel_direct, kernel_grid
 from .strichartz import _check_exponent, _check_scales, bilinear_table, exponent_sweep
 
 GUARD_ERRORS = (BudgetExceededError, GridTooCoarseError, BoxTooSmallError, NonContractionError)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _meta(config: dict, seed: int | None = None) -> dict:
@@ -59,8 +63,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence], meta: dict) -> None:
-    """Write rows as CSV under a "# " line of meta: floats (numpy's too) as _fmt does, every
-    other value as str.
+    """Write rows as CSV under a "# " line of meta: floats (numpy's too) with 17 significant
+    digits, every other value as str.
 
     Each row is formatted by one %-format string ("%.17g" per float cell, "%s"
     otherwise), built once per sequence of cell types.
@@ -77,64 +81,62 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence], meta: di
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_theta(d: int, theta: list[float] | None) -> TorusGeometry:
-    """The torus of --d and --theta: one weight per axis, or one for every axis."""
-    if theta is None:
-        return TorusGeometry.square(d)
-    theta = theta * d if len(theta) == 1 else theta
-    if len(theta) != d:
-        raise click.BadParameter(f"need one weight per axis ({d}) or one for all, got {len(theta)}", param_hint=["--theta"])
-    try:
-        return TorusGeometry(d=d, theta=tuple(theta))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint=["--theta"]) from None
+def _flag(parse):
+    """Click callback of every parsed option: parse(ctx, value), an absent option (None)
+    kept as None; a ValueError becomes a usage error that names the option."""
+
+    def callback(ctx, param, value):
+        try:
+            return None if value is None else parse(ctx, value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), ctx, param) from None
+
+    return callback
 
 
-def _comma_list(kind: type, text: str, flag: str) -> list:
-    """The comma list of `kind` values given to `flag`; an error names the flag."""
+def _comma_list(kind: type, text: str) -> list:
+    """The comma list of `kind` values in text."""
     try:
         return [kind(v) for v in text.split(",")]
     except ValueError:
-        raise click.BadParameter(f"need a comma list of {kind.__name__}s, got {text!r}", param_hint=[flag]) from None
+        raise ValueError(f"need a comma list of {kind.__name__}s, got {text!r}") from None
 
 
-def _list_option(kind: type):
-    """Click callback: _comma_list of the option's text, None when the option is absent."""
-    return lambda ctx, param, text: None if text is None else _comma_list(kind, text, param.opts[0])
+def _torus(ctx, text: str) -> TorusGeometry:
+    """--theta on the torus of --d (eager, so read first): one weight per axis, or one for every
+    axis; TorusGeometry checks the count and the weights."""
+    d = ctx.params["dim"]
+    theta = _comma_list(float, text)
+    theta = theta * d if len(theta) == 1 else theta
+    return TorusGeometry(d=d, theta=tuple(theta))
 
 
-def _dyadic_list(least: int, rule=lambda ns: ns):
-    """Click callback: the option's comma list of powers of two >= least, passed through rule
-    (which may raise ValueError), all before the command runs; every error names the option."""
+def _point(ctx, text: str) -> tuple[str, list[float]]:
+    """--x: (text, coordinates), one coordinate per axis of --d."""
+    d = ctx.params["dim"]
+    x = _comma_list(float, text)
+    if len(x) != d:
+        raise ValueError(f"need one coordinate per axis ({d}), got {len(x)}")
+    return text, x
 
-    def parse(ctx, param, text: str) -> list[int]:
-        ns = _comma_list(int, text, param.opts[0])
-        try:
-            if not all(is_dyadic(n) and n >= least for n in ns):
-                raise ValueError(f"need powers of two >= {least}, got {text}")
-            return rule(ns)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), ctx, param) from None
+
+def _dyadics(least: int, rule=lambda ns: ns):
+    """Parser of a comma list of powers of two >= least, passed through rule (which may raise ValueError)."""
+
+    def parse(ctx, text: str) -> list[int]:
+        ns = _comma_list(int, text)
+        if not all(is_dyadic(n) and n >= least for n in ns):
+            raise ValueError(f"need powers of two >= {least}, got {text}")
+        return rule(ns)
 
     return parse
 
 
-def _exponent(ctx, param, value: float) -> float:
-    try:
-        _check_exponent(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), ctx, param) from exc
-    return value
-
-
-def _horizons(ctx, param, text: str) -> list[float]:
-    """Click callback: the comma list of horizons, each checked by propagator._check_grid."""
-    hs = _comma_list(float, text, param.opts[0])
-    try:
-        for h in hs:
-            _check_grid(h)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), ctx, param) from None
+def _horizons(ctx, text: str) -> list[float]:
+    """The comma list of horizons, each checked by propagator._check_grid."""
+    hs = _comma_list(float, text)
+    for h in hs:
+        _check_grid(h)
     return hs
 
 
@@ -179,26 +181,22 @@ def main():
 
 
 @main.command()
-@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
-@click.option("--theta", default=None, callback=_list_option(float), help="comma list of torus weights")
-@click.option("--N", "cutoff", type=int, required=True)
+@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True, is_eager=True)
+@click.option("--theta", "g", default="1", callback=_flag(_torus), help="comma list of torus weights")
+@click.option("--N", "cutoff", type=int, required=True, callback=_flag(lambda ctx, n: require_dyadic(n, "--N")))
 @click.option("--t", "time_pt", type=float, default=0.0, show_default=True)
-@click.option("--x", "point", type=str, default=None, help="comma list: evaluate at one point")
+@click.option("--x", "point", default=None, callback=_flag(_point), help="comma list: evaluate at one point")
 @click.option("--n-x", type=click.IntRange(min=1), default=None, help="grid resolution for the CSV dump")
 @click.option("--budget", type=int, default=1 << 24, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=None)
-def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
+def kernel(dim, g, cutoff, time_pt, point, n_x, budget, out_dir):
     """Evaluate the frequency-localized propagator kernel (point or grid dump)."""
-    g = _parse_theta(dim, theta)
-    require_dyadic(cutoff, "--N")  # a usage error before either budget check
+    point_text, x = point or (None, None)
     config = _abort_context({
         "command": "kernel", "d": dim, "theta": list(g.theta), "N": cutoff,
-        "t": time_pt, "x": point, "n_x": n_x,
+        "t": time_pt, "x": point_text, "n_x": n_x,
     }, out_dir)
-    if point is not None:
-        x = _comma_list(float, point, "--x")
-        if len(x) != dim:
-            raise click.BadParameter(f"need one coordinate per axis ({dim}), got {len(x)}", param_hint=["--x"])
+    if x is not None:
         if (4 * cutoff + 1) ** dim > budget:
             raise BudgetExceededError(f"{4 * cutoff + 1}^{dim} direct-sum terms exceed budget {budget}")
         value = kernel_direct(time_pt, x, cutoff, g)
@@ -231,18 +229,17 @@ def kernel(dim, theta, cutoff, time_pt, point, n_x, budget, out_dir):
 
 
 @main.command("dispersive-check")
-@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
-@click.option("--theta", default=None, callback=_list_option(float))
-@click.option("--N", "n_list", required=True, callback=_dyadic_list(2), help="comma list of dyadic N >= 2")
-@click.option("--sigma", type=float, default=0.1, show_default=True)
+@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True, is_eager=True)
+@click.option("--theta", "g", default="1", callback=_flag(_torus))
+@click.option("--N", "n_list", required=True, callback=_flag(_dyadics(2)), help="comma list of dyadic N >= 2")
+@click.option("--sigma", type=float, default=0.1, show_default=True, callback=_flag(lambda ctx, s: _check_sigma(s)))
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
 @click.option("--dump-grid", is_flag=True, default=False,
               help="also write per-time-sample kernel/bound CSVs (can be large)")
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def dispersive_check(dim, theta, n_list, sigma, n_t, n_x, dump_grid, out_dir):
+def dispersive_check(dim, g, n_list, sigma, n_t, n_x, dump_grid, out_dir):
     """Kernel-vs-bound max ratio and off-arc sup, per cutoff scale."""
-    g = _parse_theta(dim, theta)
     config = _abort_context({
         "command": "dispersive-check", "d": dim, "theta": list(g.theta),
         "N": n_list, "sigma": sigma, "n_t": n_t, "n_x": n_x,
@@ -265,21 +262,18 @@ def dispersive_check(dim, theta, n_list, sigma, n_t, n_x, dump_grid, out_dir):
 
 
 @main.command("strichartz-sweep")
-@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
-@click.option("--theta", default=None, callback=_list_option(float))
-@click.option("--p", "exponent", type=float, required=True, callback=_exponent)
+@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True, is_eager=True)
+@click.option("--theta", "g", default="1", callback=_flag(_torus))
+@click.option("--p", "exponent", type=float, required=True, callback=_flag(lambda ctx, p: _check_exponent(p)))
 @click.option("--class", "data_class", type=click.Choice(["character", "flat", "random_gaussian"]), default="flat", show_default=True)
-@click.option("--N", "n_list", required=True, callback=_dyadic_list(1, _check_scales),
+@click.option("--N", "n_list", required=True, callback=_flag(_dyadics(1, _check_scales)),
               help="increasing comma list of at least 4 dyadic N")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
-@click.option("--emit-plot", is_flag=True, default=False,
-              help="also write a gnuplot script for the sweep CSV")
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, emit_plot, out_dir):
+def strichartz_sweep(dim, g, exponent, data_class, n_list, seed, n_t, n_x, out_dir):
     """Fit the growth exponent of the space-time norm against the cutoff scale."""
-    g = _parse_theta(dim, theta)
     config = _abort_context({
         "command": "strichartz-sweep", "d": dim, "theta": list(g.theta), "p": exponent,
         "class": data_class, "N": n_list, "n_t": n_t, "n_x": n_x,
@@ -291,16 +285,6 @@ def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, e
     ]
     _write_csv(Path(out_dir) / "strichartz_sweep.csv", ["class", "d", "p", "N", "norm", "ratio"],
                rows, meta=_meta(config, seed))
-    if emit_plot:
-        script = (
-            "set logscale xy\n"
-            "set xlabel 'N'\n"
-            "set ylabel 'norm'\n"
-            f"fitlaw(x) = exp({_fmt(fit.intercept)}) * x**({_fmt(fit.slope)})\n"
-            "plot 'strichartz_sweep.csv' using 4:5 with points title 'measured', \\\n"
-            "     fitlaw(x) with lines title 'fit'\n"
-        )
-        (Path(out_dir) / "strichartz_sweep.gp").write_text(script)
     payload = _meta(config, seed)
     payload["fit"] = {
         "slope": fit.slope,
@@ -314,18 +298,17 @@ def strichartz_sweep(dim, theta, exponent, data_class, n_list, seed, n_t, n_x, e
 
 
 @main.command("bilinear-check")
-@click.option("--d", "dim", type=click.IntRange(3, 4), default=3, show_default=True)
-@click.option("--theta", default=None, callback=_list_option(float))
-@click.option("--N1", "n1", required=True, callback=_dyadic_list(1), help="comma list of dyadic high scales")
-@click.option("--T", "horizons", type=str, default="1", show_default=True, callback=_horizons)
+@click.option("--d", "dim", type=click.IntRange(3, 4), default=3, show_default=True, is_eager=True)
+@click.option("--theta", "g", default="1", callback=_flag(_torus))
+@click.option("--N1", "n1", required=True, callback=_flag(_dyadics(1)), help="comma list of dyadic high scales")
+@click.option("--T", "horizons", type=str, default="1", show_default=True, callback=_flag(_horizons))
 @click.option("--class", "data_class", type=click.Choice(["flat", "character", "random"]), default="flat", show_default=True)
 @click.option("--n-x", type=click.IntRange(min=1), default=None)
 @click.option("--n-t", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def bilinear_check(dim, theta, n1, horizons, data_class, n_x, n_t, seed, out_dir):
+def bilinear_check(dim, g, n1, horizons, data_class, n_x, n_t, seed, out_dir):
     """Bilinear product ratios over dyadic scale pairs and horizons."""
-    g = _parse_theta(dim, theta)
     config = _abort_context({
         "command": "bilinear-check", "d": dim, "theta": list(g.theta), "N1": n1,
         "T": horizons, "class": data_class, "n_x": n_x, "n_t": n_t,
@@ -343,15 +326,15 @@ def bilinear_check(dim, theta, n1, horizons, data_class, n_x, n_t, seed, out_dir
     click.echo(json.dumps({"max_ratio": payload["max_ratio"]}, sort_keys=True))
 
 
-def _data_spec(ctx, param, text: str) -> tuple[str, str, float]:
-    """Click callback for --data NAME[:AMPLITUDE]: (text, name, amplitude), amplitude 0.01 if absent."""
+def _data_spec(ctx, text: str) -> tuple[str, str, float]:
+    """--data NAME[:AMPLITUDE]: (text, name, amplitude), amplitude 0.01 if absent."""
     name, colon, amp_text = text.partition(":")
     try:
         amp = float(amp_text) if colon else 0.01
     except ValueError:
         amp = np.nan
     if name not in ("planewave", "character", "gaussian") or not np.isfinite(amp):
-        raise click.BadParameter(f"need planewave, character or gaussian[:finite amplitude], got {text!r}", ctx, param)
+        raise ValueError(f"need planewave, character or gaussian[:finite amplitude], got {text!r}")
     return text, name, amp
 
 
@@ -367,10 +350,10 @@ def _parse_data_spec(name: str, amp: float, g: TorusGeometry, box: int, seed: in
 
 
 @main.command("nls-run")
-@click.option("--d", "dim", type=click.Choice(["3", "4"]), default="3", show_default=True)
-@click.option("--theta", default=None, callback=_list_option(float))
+@click.option("--d", "dim", type=click.IntRange(3, 4), default=3, show_default=True, is_eager=True)
+@click.option("--theta", "g", default="1", callback=_flag(_torus))
 @click.option("--sign", type=click.Choice(["defocusing", "focusing"]), default="defocusing", show_default=True)
-@click.option("--data", default="planewave:0.01", show_default=True, callback=_data_spec, help="NAME[:AMPLITUDE]")
+@click.option("--data", default="planewave:0.01", show_default=True, callback=_flag(_data_spec), help="NAME[:AMPLITUDE]")
 @click.option("--N", "box", type=click.IntRange(min=1), default=8, show_default=True,
               help="coefficient box radius")
 @click.option("--T", "horizon", type=float, default=0.25, show_default=True)
@@ -380,18 +363,16 @@ def _parse_data_spec(name: str, amp: float, g: TorusGeometry, box: int, seed: in
 @click.option("--dump-fields", is_flag=True, default=False)
 @click.option("--budget", type=int, default=1 << 24, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."), show_default=True)
-def nls_run(dim, theta, sign, data, box, horizon, dt, solver, seed, dump_fields, budget, out_dir):
+def nls_run(dim, g, sign, data, box, horizon, dt, solver, seed, dump_fields, budget, out_dir):
     """Run the critical-power solver and write per-step conservation diagnostics."""
     # the (T, dt) rule is the solvers' (nls._step_count), which live_cells reaches
     # before any output: its ValueError is a usage error
-    d = int(dim)
-    g = _parse_theta(d, theta)
     data_spec, name, amp = data
     config = _abort_context({
-        "command": "nls-run", "d": d, "theta": list(g.theta), "sign": sign,
+        "command": "nls-run", "d": dim, "theta": list(g.theta), "sign": sign,
         "data": data_spec, "N": box, "T": horizon, "dt": dt, "solver": solver,
     }, out_dir, seed)
-    cells = live_cells(d, box, horizon, dt, solver)
+    cells = live_cells(dim, box, horizon, dt, solver)
     if cells > budget:
         raise BudgetExceededError(f"{cells} live {solver} cells exceed budget {budget}")
     u0 = _parse_data_spec(name, amp, g, box, seed)
@@ -469,12 +450,11 @@ def f2hat(omega, window):
 @arith.command("major-arc")
 @click.option("--t", "time_pt", type=float, required=True)
 @click.option("--N", "level", type=int, required=True)
-@click.option("--sigma", type=float, default=0.1, show_default=True)
-@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True)
-@click.option("--theta", default=None, callback=_list_option(float))
-def major_arc(time_pt, level, sigma, dim, theta):
+@click.option("--sigma", type=float, default=0.1, show_default=True, callback=_flag(lambda ctx, s: _check_sigma(s)))
+@click.option("--d", "dim", type=click.IntRange(1, 4), default=1, show_default=True, is_eager=True)
+@click.option("--theta", "g", default="1", callback=_flag(_torus))
+def major_arc(time_pt, level, sigma, dim, g):
     """Arc membership of a time, with witness."""
-    g = _parse_theta(dim, theta)
     inside, witness = in_major_arc(time_pt, MajorArcParams(sigma=sigma, N=level), g)
     click.echo(json.dumps({
         "input": {"t": time_pt, "N": level, "sigma": sigma, "theta": list(g.theta)},

@@ -225,11 +225,11 @@ def _step_count(T: float, dt: float) -> int:
     """Steps of a solve of [0, T] at step dt: round(T/dt), half to even, at least one.
 
     The one (T, dt) rule of both solvers, contraction_factor, live_cells and
-    nls-run: anything but 0 < dt <= T < inf (NaN fails) raises ValueError
-    naming dt and T.
+    nls-run: anything but 0 < dt <= T < inf (NaN fails), or a step so small
+    that T/dt overflows to inf, raises ValueError naming dt and T.
     """
-    if not 0 < dt <= T < math.inf:
-        raise ValueError(f"need 0 < dt <= T < inf, got dt={dt}, T={T}")
+    if not (0 < dt <= T < math.inf and math.isfinite(T / dt)):
+        raise ValueError(f"need 0 < dt <= T < inf, got dt={dt}, T={T}; T/dt must be finite too")
     return round(T / dt)
 
 

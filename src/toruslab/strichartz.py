@@ -46,13 +46,18 @@ from .core import (
     _modulus_power,
     require_dyadic,
 )
+from .errors import BudgetExceededError
 from .propagator import _check_grid, _time_chunk, iter_evolved_grids, time_sample_count
 
+#: Most times one norm takes: its time vector and its per-time vector hold 128 MiB each.
+NORM_TIME_CAP = 1 << 24
 
-def _check_exponent(p) -> None:
-    """The exponent rule of every space-time norm: p >= 1 or infinity (NaN fails)."""
+
+def _check_exponent(p: float) -> float:
+    """The exponent rule of every space-time norm: p >= 1 or infinity (NaN fails); returns p."""
     if not p >= 1:
         raise ValueError(f"exponent must be >= 1 or infinity, got {p}")
+    return p
 
 
 def _stream(groups, ts: np.ndarray, n_x: int, integrand, over_x=np.mean) -> np.ndarray:
@@ -86,8 +91,11 @@ def _lp_norm(groups, p: float, horizon: float, n_t: int, n_x: int) -> float:
     one _stream pass, and one reduction of the per-time vector (time measure dt,
     the torus a probability space).  |u| peaks at the l1 norm of the
     coefficients; a finite p for which |u|^p overflows a float raises
-    ValueError naming p and the overflow.
+    ValueError naming p and the overflow.  More than NORM_TIME_CAP times
+    raises BudgetExceededError before the time vectors are built.
     """
+    if n_t > NORM_TIME_CAP:
+        raise BudgetExceededError(f"{n_t} times exceed the norm's cap of {NORM_TIME_CAP}")
     ts = np.arange(n_t) * (horizon / n_t)
     if p == np.inf:
         tops = _stream(groups, ts, n_x, lambda u: _modulus_power(u, 2.0), over_x=np.max)

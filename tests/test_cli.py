@@ -256,15 +256,15 @@ class TestSweepCommands:
         assert aborted["config"]["command"] == argv[0] and aborted["seed"] == 7
         assert sorted(p.name for p in tmp_path.iterdir()) == ["aborted.json"]
 
-    def test_plot_emission(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "strichartz-sweep", "--d", "1", "--p", "8", "--class", "character",
-            "--N", "8,16,32,64", "--n-t", "256", "--n-x", "64", "--emit-plot",
-            "--out-dir", str(tmp_path),
-        ])
-        assert result.exit_code == 0
-        script = (tmp_path / "strichartz_sweep.gp").read_text()
-        assert "logscale" in script and "strichartz_sweep.csv" in script
+    def test_long_horizon_is_guard_abort(self, runner, tmp_path):
+        # 1,024,000,000 planned times: the norm refuses them before building its time vectors
+        start = time.perf_counter()
+        result = runner.invoke(main, ["bilinear-check", "--N1", "4", "--T", "1e6", "--out-dir", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        aborted = json.loads((tmp_path / "aborted.json").read_text())
+        assert aborted["truncated"] is True
+        assert aborted["error"].startswith("BudgetExceededError: 1024000000 times")
 
     def test_bilinear_check(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -396,6 +396,8 @@ BAD_VALUES = [
     ["dispersive-check", "--N", "8", "--n-t", "-5"],
     ["dispersive-check", "--N", "8", "--n-x", "0"],
     ["kernel", "--N", "4", "--n-x", "0"],
+    ["dispersive-check", "--N", "8", "--sigma", "0.7"],
+    ["arith", "major-arc", "--t", "0.3", "--N", "8", "--sigma", "0"],
 ]
 
 #: A time or point that is not finite, at a point and on the grid dump.
@@ -434,6 +436,7 @@ BAD_TORUS = [
     ["kernel", "--N", "4", "--d", "5"],
     ["arith", "major-arc", "--t", "0.5", "--N", "16", "--d", "7"],
     ["bilinear-check", "--N1", "2", "--d", "2"],
+    ["nls-run", "--d", "5"],
 ]
 
 
@@ -469,6 +472,7 @@ class TestUsageErrors:
             ["nls-run", "--N", "-2"],
             ["nls-run", "--T", "inf", "--dt", "1e-3"],
             ["nls-run", "--T", "nan", "--dt", "1e-3"],
+            ["nls-run", "--T", "1", "--dt", "1e-320"],
             ["dispersive-check", "--N", "8", "--threads", "2"],
             ["strichartz-sweep", "--N", "1,2,4,8", "--p", "4", "--threads", "2"],
             ["bilinear-check", "--N1", "2", "--threads", "2"],
@@ -538,3 +542,50 @@ class TestExitCodePolicy:
         tomllib = pytest.importorskip("tomllib")
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == toruslab.__version__
+
+
+class TestFlagPath:
+    """Every option is parsed and checked by one callback, cli._flag."""
+
+    def test_one_usage_error_constructor(self):
+        # a flag's ValueError becomes click.BadParameter in _flag alone
+        places = _cli_places(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                             and n.func.attr == "BadParameter")
+        assert places == ["_flag"]
+
+    def test_every_callback_is_a_flag(self):
+        callbacks = [
+            k.value for n in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "option"
+            for k in n.keywords if k.arg == "callback"
+        ]
+        assert callbacks
+        assert all(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "_flag" for c in callbacks)
+
+    def test_no_command_parses_a_list(self):
+        # lists are parsed in their option's callback, before the command runs
+        commands = [
+            top for top in ast.parse(Path(cli.__file__).read_text()).body
+            if isinstance(top, ast.FunctionDef) and any(
+                isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+                for d in top.decorator_list
+            )
+        ]
+        assert {c.name for c in commands} >= {"kernel", "nls_run", "major_arc"}
+        calls = [
+            c.name for c in commands for n in ast.walk(c)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_comma_list"
+        ]
+        assert calls == []
+
+    @pytest.mark.parametrize("flag, value, key, recorded", [
+        ("--theta", "1,0.5", "theta", [1.0, 0.5]),
+        ("--x", "0.1,0.2", "x", "0.1,0.2"),
+    ])
+    def test_dimension_is_read_first(self, runner, tmp_path, flag, value, key, recorded):
+        # --d is eager, so a --theta or --x given before it is read against it
+        result = runner.invoke(main, ["kernel", "--N", "4", flag, value, "--d", "2", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0
+        (record,) = tmp_path.glob("kernel_*.json")
+        config = json.loads(record.read_text())["config"]
+        assert (config["d"], config[key]) == (2, recorded)

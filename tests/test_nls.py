@@ -231,12 +231,14 @@ class TestStepRule:
     @pytest.mark.parametrize(
         "T, dt",
         [(-0.01, 1e-3), (0.0, 1e-3), (0.01, 0.0), (0.01, -1e-3), (0.01, 0.5), (math.nan, 1e-3),
-         (0.01, math.nan), (math.inf, 1e-3), (-math.inf, 1e-3), (0.01, math.inf), (0.01, -math.inf)],
+         (0.01, math.nan), (math.inf, 1e-3), (-math.inf, 1e-3), (0.01, math.inf), (0.01, -math.inf),
+         (1.0, 1e-320)],
     )
     def test_bad_horizon_or_step_rejected(self, T, dt):
         # T = -0.01 ran one backward step, dt = -1e-3 one step of length T, dt > T
         # one step of length T, dt = 0 divided by zero, and NaN and inf failed
-        # only by accident, in the conversion of T/dt to a step count
+        # only by accident, in the conversion of T/dt to a step count; a subnormal dt
+        # overflowed T/dt to inf, and round raised OverflowError
         prob = plane_wave_problem(0.1, M=2)
         calls = [
             lambda: picard_solve(prob, T, dt),

@@ -13,6 +13,7 @@ from scipy.fft import next_fast_len
 
 from toruslab import strichartz
 from toruslab.core import FrequencyField, TorusGeometry, require_dyadic, sobolev_norm
+from toruslab.errors import BudgetExceededError
 from toruslab.propagator import _auto_chunk, time_sample_count
 from toruslab.strichartz import (
     _axis_groups,
@@ -164,6 +165,16 @@ class TestSpacetimeLpNorm:
             tracemalloc.stop()
         assert norm == pytest.approx(1.0, rel=1e-12)
         assert peak < 8 * 2**20
+
+    def test_time_cap_is_guard_abort(self, monkeypatch):
+        # bilinear-check --N1 4 --T 1e6 planned 1,024,000,000 times: two 8 GB vectors
+        def no_stream(*args, **kwargs):
+            pytest.fail("the norm streamed past its time cap")
+
+        monkeypatch.setattr(strichartz, "_stream", no_stream)
+        f = FrequencyField.character(TorusGeometry.square(1), 2, (1,))
+        with pytest.raises(BudgetExceededError, match="cap"):
+            _lp_norm([(f,)], 4, 1.0, strichartz.NORM_TIME_CAP + 1, 8)
 
     @pytest.mark.parametrize("p", [0, 0.5, -2, np.nan, -np.inf])
     def test_one_exponent_rule(self, p):
